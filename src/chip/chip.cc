@@ -1,5 +1,6 @@
 #include "chip/chip.hh"
 
+#include <cassert>
 #include <cmath>
 
 #include "state/snapshot.hh"
@@ -12,6 +13,7 @@ Chip::Chip(EventQueue &eq, Rng &rng, const ChipConfig &cfg)
 {
     for (CoreId i = 0; i < cfg_.numCores; ++i)
         cores_.push_back(std::make_unique<Core>(*this, i, cfg_.core));
+    activity_.resize(cores_.size());
     pmu_ = std::make_unique<CentralPmu>(eq_, rng_, ticker_, cfg_.pmu,
                                         *this);
     planner_ = std::make_unique<HorizonPlanner>(ticker_, *pmu_);
@@ -60,8 +62,9 @@ Chip::kernelEnded(CoreId core, int smt, InstClass cls)
 }
 
 void
-Chip::activityChanged()
+Chip::activityChanged(CoreId core)
 {
+    activity_[core] = cores_[core]->activity();
     pmu_->onActivityChanged();
 }
 
@@ -93,17 +96,16 @@ Chip::beforeFreqChange()
         core->materializePending();
 }
 
-std::vector<CoreActivity>
+const std::vector<CoreActivity> &
 Chip::coreActivity() const
 {
-    std::vector<CoreActivity> act(cores_.size());
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        act[i].active = cores_[i]->anyThreadActive();
-        act[i].cdynNf = cores_[i]->cdynActiveNf();
-        act[i].gbLevel = 0; // PMU fills granted/pending levels
-        act[i].activeGbLevel = cores_[i]->activeGbLevelNow();
-    }
-    return act;
+#ifndef NDEBUG
+    // A thread state change that skipped activityChanged(core) would
+    // leave a stale entry here and silently skew every power query.
+    for (std::size_t i = 0; i < cores_.size(); ++i)
+        assert(activity_[i] == cores_[i]->activity());
+#endif
+    return activity_;
 }
 
 double
@@ -126,6 +128,8 @@ Chip::restoreState(state::SectionReader &r, state::RestoreContext &ctx)
     thermal_.restoreState(r);
     for (auto &core : cores_)
         core->restoreState(r, ctx);
+    for (std::size_t i = 0; i < cores_.size(); ++i)
+        activity_[i] = cores_[i]->activity();
 }
 
 } // namespace ich

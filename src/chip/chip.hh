@@ -84,7 +84,7 @@ class Chip : public ChipApi, public PmuHooks
     Time tscToTime(Cycles tsc) const override;
     void phiStarted(CoreId core, int smt, InstClass cls) override;
     void kernelEnded(CoreId core, int smt, InstClass cls) override;
-    void activityChanged() override;
+    void activityChanged(CoreId core) override;
     ///@}
 
     /** @name PmuHooks */
@@ -93,7 +93,12 @@ class Chip : public ChipApi, public PmuHooks
     void assertCoreThrottle(CoreId core, ThrottleReason reason,
                             int initiator) override;
     void deassertCoreThrottle(CoreId core, ThrottleReason reason) override;
-    std::vector<CoreActivity> coreActivity() const override;
+    /**
+     * The per-core activity summary: entry i equals core(i).activity()
+     * at every query. Kept current by activityChanged(core), so a power
+     * query reads it without walking any thread.
+     */
+    const std::vector<CoreActivity> &coreActivity() const override;
     void beforeFreqChange() override;
     ///@}
 
@@ -129,6 +134,8 @@ class Chip : public ChipApi, public PmuHooks
     std::vector<std::unique_ptr<Core>> cores_;
     std::unique_ptr<CentralPmu> pmu_;
     std::unique_ptr<HorizonPlanner> planner_;
+    /** Per-core activity summary (see coreActivity()). */
+    std::vector<CoreActivity> activity_;
     ThermalModel thermal_;
     ThermalTick thermalTick_;
 };

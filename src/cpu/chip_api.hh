@@ -46,8 +46,14 @@ class ChipApi
     /** A loop of @p cls finished (hysteresis bookkeeping). */
     virtual void kernelEnded(CoreId core, int smt, InstClass cls) = 0;
 
-    /** Thread activity (and hence chip current draw) changed. */
-    virtual void activityChanged() = 0;
+    /**
+     * What a thread of @p core reports through activeNow() or
+     * currentClass() changed (and hence the chip current draw). Called
+     * right after every such change, before anything can query chip
+     * power: the chip keeps a per-core activity summary current from
+     * these calls alone.
+     */
+    virtual void activityChanged(CoreId core) = 0;
 };
 
 } // namespace ich

@@ -38,37 +38,23 @@ Core::materializePending()
         t->materializePending();
 }
 
-bool
-Core::anyThreadActive() const
+CoreActivity
+Core::activity() const
 {
-    for (const auto &t : threads_)
-        if (t->activeNow())
-            return true;
-    return false;
-}
-
-int
-Core::activeGbLevelNow() const
-{
-    int lvl = 0;
-    for (const auto &t : threads_) {
-        if (auto cls = t->currentClass())
-            lvl = std::max(lvl, traits(*cls).guardbandLevel);
-    }
-    return lvl;
-}
-
-double
-Core::cdynActiveNf() const
-{
-    if (!anyThreadActive())
-        return 0.0;
+    CoreActivity act;
     double max_delta = 0.0;
     for (const auto &t : threads_) {
-        if (auto cls = t->currentClass())
-            max_delta = std::max(max_delta, traits(*cls).deltaCdynNf);
+        if (auto cls = t->currentClass()) {
+            const InstTraits &tr = traits(*cls);
+            act.active = true;
+            max_delta = std::max(max_delta, tr.deltaCdynNf);
+            act.activeGbLevel =
+                std::max(act.activeGbLevel, tr.guardbandLevel);
+        }
     }
-    return cfg_.cdynBaseNf + max_delta;
+    if (act.active)
+        act.cdynNf = cfg_.cdynBaseNf + max_delta;
+    return act;
 }
 
 void

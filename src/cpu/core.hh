@@ -16,6 +16,7 @@
 #include "cpu/thread.hh"
 #include "cpu/throttle_unit.hh"
 #include "pdn/power_gate.hh"
+#include "pmu/limits.hh"
 #include "state/fwd.hh"
 
 namespace ich
@@ -67,18 +68,15 @@ class Core
      */
     void materializePending();
 
-    /** Any thread executing instructions right now? */
-    bool anyThreadActive() const;
-
     /**
-     * Instantaneous core dynamic capacitance (nF): baseline if active
-     * plus the largest ΔCdyn among concurrently-executing classes (the
-     * vector unit is shared between SMT threads).
+     * Instantaneous activity, from one pass over the threads: active if
+     * any thread executes instructions; dynamic capacitance (nF) is the
+     * baseline plus the largest ΔCdyn among concurrently-executing
+     * classes (the vector unit is shared between SMT threads), 0 when
+     * idle; activeGbLevel is the highest guardband level among them.
+     * gbLevel is left 0 for the PMU to fill.
      */
-    double cdynActiveNf() const;
-
-    /** Highest guardband level among classes executing right now. */
-    int activeGbLevelNow() const;
+    CoreActivity activity() const;
 
     double leakageAmps() const { return cfg_.leakageAmps; }
 

@@ -93,7 +93,7 @@ HwThread::start()
     started_ = true;
     done_ = prog_.empty();
     lastAccrue_ = chip_.eventQueue().now();
-    chip_.activityChanged();
+    chip_.activityChanged(coreId_);
     refresh();
 }
 
@@ -368,12 +368,12 @@ HwThread::enterStep()
                 stallUntil_ = std::max(stallUntil_, now + wake);
         }
         chip_.phiStarted(coreId_, smtIdx_, loop->kernel.cls);
-        chip_.activityChanged();
+        chip_.activityChanged(coreId_);
     } else if (const auto *idle = std::get_if<IdleStep>(&step)) {
         idleEnd_ = now + idle->duration;
-        chip_.activityChanged();
+        chip_.activityChanged(coreId_);
     } else if (std::holds_alternative<WaitUntilTscStep>(step)) {
-        chip_.activityChanged();
+        chip_.activityChanged(coreId_);
     }
 }
 
@@ -392,7 +392,7 @@ HwThread::advance()
     while (started_ && !done_) {
         if (stepIdx_ >= prog_.size()) {
             done_ = true;
-            chip_.activityChanged();
+            chip_.activityChanged(coreId_);
             break;
         }
         if (!enteredStep_)
@@ -429,7 +429,7 @@ HwThread::advance()
             break;
         ++stepIdx_;
         enteredStep_ = false;
-        chip_.activityChanged();
+        chip_.activityChanged(coreId_);
     }
 }
 

@@ -407,7 +407,6 @@ ColumnStoreWriter::acceptPoint(std::size_t point_idx,
             "ColumnStoreWriter: acceptPoint outside a sweep");
     std::vector<Row> rows = rowsFromRecords(nameIds_, namesInOrder_,
                                             point_idx, records, count);
-    pending_.reserve(pending_.size() + rows.size());
     for (Row &row : rows) {
         PendingRecord pr;
         pr.pointIndex = row.pointIndex;

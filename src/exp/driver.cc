@@ -233,6 +233,10 @@ runAndReportStreaming(const ScenarioSpec &spec, const CliOptions &cli)
         // With --resume the runner/coordinator already checkpoints
         // every point into this exact path; without it, the driver
         // spills in batch mode so the report view has a store to read.
+        // That spill starts fresh: beginSweep() would adopt a matching
+        // store an earlier run left here and append a second copy of
+        // every point.
+        std::remove(store_path.c_str());
         spill = std::make_unique<ColumnStoreWriter>(store_path);
         sinks.push_back(spill.get());
     }

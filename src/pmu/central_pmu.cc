@@ -65,7 +65,7 @@ CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
         [this] {
             // Highest bin whose projected power at the instantaneous
             // activity fits the budget.
-            auto act = activityWithLevels();
+            const auto &act = activityWithLevels();
             const auto &bins = cfg_.pstate.binsGhz;
             for (auto it = bins.rbegin(); it != bins.rend(); ++it)
                 if (powerModel_.powerWatts(*it, act) <=
@@ -108,14 +108,14 @@ CentralPmu::computeDomainTarget(int domain) const
     return v;
 }
 
-std::vector<CoreActivity>
-CentralPmu::activityWithLevels() const
+const std::vector<CoreActivity> &
+CentralPmu::activityWithLevels()
 {
-    std::vector<CoreActivity> act = hooks_.coreActivity();
-    for (CoreId c = 0;
-         c < std::min<CoreId>(act.size(), coreState_.size()); ++c)
-        act[c].gbLevel = effectiveLevel(coreState_[c]);
-    return act;
+    activityBuf_ = hooks_.coreActivity();
+    std::size_t n = std::min(activityBuf_.size(), coreState_.size());
+    for (std::size_t c = 0; c < n; ++c)
+        activityBuf_[c].gbLevel = effectiveLevel(coreState_[c]);
+    return activityBuf_;
 }
 
 double

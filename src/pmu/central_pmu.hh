@@ -55,8 +55,12 @@ class PmuHooks
                                     int initiator) = 0;
     virtual void deassertCoreThrottle(CoreId core,
                                       ThrottleReason reason) = 0;
-    /** Per-core instantaneous activity (gbLevel filled by the PMU). */
-    virtual std::vector<CoreActivity> coreActivity() const = 0;
+    /**
+     * Per-core instantaneous activity (gbLevel left 0 for the PMU to
+     * fill). A view of state the implementer keeps current: read it,
+     * do not hold it across a thread state change.
+     */
+    virtual const std::vector<CoreActivity> &coreActivity() const = 0;
     /**
      * The shared PLL is about to change frequency. Threads defer
      * chunk-record materialization analytically, replaying it on demand
@@ -224,6 +228,7 @@ class CentralPmu
     EventId upclockEvent_ = EventQueue::kInvalidEvent;
     std::uint64_t pstateCount_ = 0;
     std::uint64_t voltageRequests_ = 0;
+    std::vector<CoreActivity> activityBuf_; ///< activityWithLevels()
 
     // Lazy energy integration for the power limiter / overhead benches.
     Time energyMark_ = 0;
@@ -235,7 +240,10 @@ class CentralPmu
     int effectiveLevel(const CoreState &cs) const;
     int maxLevelAllCores() const;
     double computeDomainTarget(int domain) const;
-    std::vector<CoreActivity> activityWithLevels() const;
+    /** coreActivity() with each core's effective guardband level
+     *  filled in, in a buffer reused across calls (valid until the
+     *  next call). */
+    const std::vector<CoreActivity> &activityWithLevels();
     void submitUpTransition(CoreId core, int lvl, int domain);
     void releaseDomainThrottles(int domain);
     void scheduleDecay(CoreId core);

@@ -33,6 +33,13 @@ struct CoreActivity {
     int gbLevel = 0;       ///< granted/pending guardband level
     /** Highest guardband level among classes executing right now. */
     int activeGbLevel = 0;
+
+    bool
+    operator==(const CoreActivity &o) const
+    {
+        return active == o.active && cdynNf == o.cdynNf &&
+               gbLevel == o.gbLevel && activeGbLevel == o.activeGbLevel;
+    }
 };
 
 /**

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "os/phi_app.hh"
+#include "state/state.hh"
 #include "test_util.hh"
 
 namespace ich
@@ -38,22 +42,154 @@ TEST(Chip, TscRoundTrips)
                 static_cast<double>(c), 2.0);
 }
 
+/** Every entry of the chip's activity summary equals a fresh pass over
+ *  that core's threads. */
+::testing::AssertionResult
+summaryIsExact(const Chip &chip)
+{
+    const std::vector<CoreActivity> &act = chip.coreActivity();
+    if (act.size() != static_cast<std::size_t>(chip.coreCount()))
+        return ::testing::AssertionFailure()
+               << "summary has " << act.size() << " entries";
+    for (CoreId c = 0; c < chip.coreCount(); ++c)
+        if (!(act[c] == chip.core(c).activity()))
+            return ::testing::AssertionFailure()
+                   << "stale summary entry for core " << c;
+    return ::testing::AssertionSuccess();
+}
+
+/** Dispatch events one at a time up to @p until, checking the summary
+ *  after each. @return true when any core was seen active. */
+bool
+runCheckingSummary(Simulation &sim, Time until)
+{
+    bool saw_active = false;
+    while (sim.eq().nextEventTime() <= until) {
+        sim.eq().runOne();
+        EXPECT_TRUE(summaryIsExact(sim.chip())) << "t=" << sim.eq().now();
+        if (::testing::Test::HasFailure())
+            return saw_active;
+        for (const CoreActivity &a : sim.chip().coreActivity())
+            saw_active = saw_active || a.active;
+    }
+    return saw_active;
+}
+
 TEST(Chip, CoreActivityReportsRunningClass)
 {
-    Simulation sim(quietChip(1.0));
+    {
+        Simulation sim(quietChip(1.0));
+        Chip &chip = sim.chip();
+        Program p;
+        p.loop(InstClass::k256Heavy, 1000, 100);
+        chip.core(1).thread(0).setProgram(std::move(p));
+        chip.core(1).thread(0).start();
+        sim.eq().runUntil(fromMicroseconds(10));
+        const std::vector<CoreActivity> &act = chip.coreActivity();
+        EXPECT_FALSE(act[0].active);
+        EXPECT_TRUE(act[1].active);
+        EXPECT_DOUBLE_EQ(act[1].cdynNf,
+                         chip.config().core.cdynBaseNf +
+                             traits(InstClass::k256Heavy).deltaCdynNf);
+        EXPECT_EQ(act[1].activeGbLevel, 3);
+        EXPECT_TRUE(summaryIsExact(chip));
+    }
+
+    // Every step kind on both SMT threads of both cores, app PHI bursts
+    // and turbo P-state transitions: the summary must equal a fresh
+    // pass after every single event, and again after a restore.
+    ChipConfig cfg = presets::cannonLake();
+    cfg.pmu.governor.policy = GovernorPolicy::kPerformance;
+    ASSERT_GE(cfg.numCores, 2);
+    ASSERT_EQ(cfg.core.smtThreads, 2);
+    Simulation sim(cfg, 7);
     Chip &chip = sim.chip();
-    Program p;
-    p.loop(InstClass::k256Heavy, 1000, 100);
-    chip.core(1).thread(0).setProgram(std::move(p));
+    int calls = 0;
+    {
+        Program p;
+        p.loop(InstClass::k256Heavy, 3000, 100);
+        p.idle(fromMicroseconds(30));
+        p.mark(1);
+        p.waitUntilTsc(chip.tscAt(fromMicroseconds(120)));
+        p.call([&] {
+            // Mid-dispatch: the wait step just ended in this event.
+            EXPECT_TRUE(summaryIsExact(chip));
+            ++calls;
+            chip.core(1).thread(1).start(); // a step starts a thread
+        });
+        p.loop(InstClass::k512Heavy, 1500, 100);
+        chip.core(0).thread(0).setProgram(std::move(p));
+    }
+    {
+        Program p;
+        p.mark(2);
+        p.loop(InstClass::kScalar64, 4000, 100);
+        p.call([&] {
+            EXPECT_TRUE(summaryIsExact(chip));
+            ++calls;
+        });
+        p.idle(fromMicroseconds(50));
+        p.loop(InstClass::k128Heavy, 2000, 100);
+        chip.core(0).thread(1).setProgram(std::move(p));
+    }
+    {
+        Program p;
+        p.waitUntilTsc(chip.tscAt(fromMicroseconds(40)));
+        p.loop(InstClass::k512Heavy, 2000, 100);
+        p.mark(3);
+        p.idle(fromMicroseconds(20));
+        p.loop(InstClass::k256Light, 2000, 100);
+        chip.core(1).thread(0).setProgram(std::move(p));
+    }
+    {
+        Program p;
+        p.loop(InstClass::k256Heavy, 1000, 100);
+        p.mark(4);
+        p.call([&] {
+            EXPECT_TRUE(summaryIsExact(chip));
+            ++calls;
+        });
+        chip.core(1).thread(1).setProgram(std::move(p));
+    }
+    PhiAppConfig app_cfg;
+    app_cfg.phiRatePerSec = 20000.0;
+    PhiApp app(chip, sim.rng(), app_cfg, 1, 1);
+    app.start(fromMicroseconds(600));
+    chip.core(0).thread(0).start();
+    chip.core(0).thread(1).start();
     chip.core(1).thread(0).start();
-    sim.eq().runUntil(fromMicroseconds(10));
-    auto act = chip.coreActivity();
-    EXPECT_FALSE(act[0].active);
-    EXPECT_TRUE(act[1].active);
-    EXPECT_DOUBLE_EQ(act[1].cdynNf,
-                     chip.config().core.cdynBaseNf +
-                         traits(InstClass::k256Heavy).deltaCdynNf);
-    EXPECT_EQ(act[1].activeGbLevel, 3);
+    ASSERT_TRUE(summaryIsExact(chip));
+
+    EXPECT_TRUE(runCheckingSummary(sim, fromMilliseconds(2)));
+    if (HasFailure())
+        return;
+    for (int c = 0; c < 2; ++c)
+        for (int t = 0; t < 2; ++t)
+            EXPECT_TRUE(chip.core(c).thread(t).done()) << c << "/" << t;
+    EXPECT_EQ(calls, 3);
+    EXPECT_GT(app.burstsInjected(), 0u);
+    EXPECT_GE(chip.pmu().pstateTransitions(), 1u);
+
+    state::quiesce(sim);
+    ASSERT_TRUE(summaryIsExact(chip));
+    std::unique_ptr<Simulation> restored =
+        state::restore(state::snapshot(sim));
+    Chip &rchip = restored->chip();
+    ASSERT_TRUE(summaryIsExact(rchip));
+    for (int c = 0; c < 2; ++c) {
+        for (int t = 0; t < 2; ++t) {
+            Program p;
+            p.loop(t == 0 ? InstClass::k512Heavy : InstClass::kScalar64,
+                   1000, 100);
+            p.idle(fromMicroseconds(10));
+            p.waitUntilTsc(rchip.tscAt(restored->eq().now() +
+                                       fromMicroseconds(80)));
+            rchip.core(c).thread(t).setProgram(std::move(p));
+            rchip.core(c).thread(t).start();
+        }
+    }
+    EXPECT_TRUE(runCheckingSummary(
+        *restored, restored->eq().now() + fromMilliseconds(1)));
 }
 
 TEST(Chip, IccGrowsWithActivity)

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "exp/colstore.hh"
+#include "exp/driver.hh"
 #include "exp/resume.hh"
 #include "exp/scenario.hh"
 #include "state/chunkio.hh"
@@ -525,6 +526,38 @@ TEST(ColStore, MissingFileAndMissingHeaderAreRejected)
     w.append(exp::kColChunkData, {1, 2, 3, 4});
     w.close();
     EXPECT_THROW(exp::ColumnStoreReader r(path), state::ArchiveError);
+}
+
+TEST(ColStore, StreamRerunWithoutResumeRewritesTheSpill)
+{
+    TempDir dir("colstore_stream_rerun");
+    exp::ScenarioSpec spec;
+    spec.name = "stream-rerun";
+    spec.description = "re-run --stream into one directory";
+    spec.axes = {exp::axis("x", {1.0, 2.0, 3.0, 4.0})};
+    spec.trials = 2;
+    spec.run = [](const exp::TrialContext &ctx) {
+        double seed_lo = static_cast<double>(ctx.seed % 1000);
+        return exp::MetricMap{{"y", ctx.point.get("x") * 0.5},
+                              {"seed_lo", seed_lo}};
+    };
+    exp::CliOptions cli;
+    cli.jobs = 1;
+    cli.stream = true;
+    cli.outDir = dir.path.string();
+    const std::string store = exp::resultStorePath(cli.outDir, spec.name);
+
+    std::vector<std::uintmax_t> sizes;
+    for (int run = 0; run < 3; ++run) {
+        exp::runAndReport(spec, cli);
+        sizes.push_back(fs::file_size(store));
+        exp::ColumnStoreReader r(store);
+        EXPECT_EQ(r.totalRecords(), 8u) << "run " << run;
+        EXPECT_EQ(r.completedPoints(), 4u) << "run " << run;
+        EXPECT_TRUE(r.cleanFooter()) << "run " << run;
+    }
+    EXPECT_EQ(sizes[1], sizes[0]);
+    EXPECT_EQ(sizes[2], sizes[0]);
 }
 
 } // namespace
