@@ -2,7 +2,7 @@
  * @file
  * End-to-end sweep-throughput benchmarks.
  *
- * Two scenarios (each writes `<name>.json` under `--json --out DIR`):
+ * Four scenarios (each writes `<name>.json` under `--json --out DIR`):
  *
  *  - BENCH_sweep: one complete src/exp sweep — a thread-channel BER
  *    grid with real Simulation trials — per outer point, on an inner
@@ -16,15 +16,6 @@
  *    unique config, snapshotted via src/state and forked per trial) —
  *    verifies the two reports are byte-identical, and reports
  *    points/sec for both plus fork_speedup = warm/cold.
- *
- *  - BENCH_shard: multi-process sharding. Each trial runs a
- *    warmup-heavy inner sweep (several distinct warm keys) serially
- *    in-process and again across N `--shard`-style worker processes,
- *    verifies the reports are byte-identical, and reports
- *    shard_speedup = serial/sharded wall clock. Speedup tracks the
- *    machine's core count: on a 1-core CI box ~1.0x is the honest
- *    expectation and the benchmark is primarily a correctness +
- *    overhead gauge there.
  *
  *  - BENCH_detect: online-detection overhead. Each trial runs the same
  *    PHI-burst workload unwatched and with a full detect::DetectorBank
@@ -63,9 +54,8 @@
  *                          O(total trials) baseline the gate contrasts.
  *
  * Inner workloads scale down via ICH_PERF_SWEEP_TRIALS,
- * ICH_PERF_SNAP_TRIALS, ICH_PERF_SNAP_BURSTS, ICH_PERF_SHARD_TRIALS,
- * ICH_PERF_SHARD_BURSTS, ICH_PERF_COLSTORE_POINTS and
- * ICH_PERF_COLSTORE_TRIALS for CI smoke runs. The outer runner is
+ * ICH_PERF_SNAP_TRIALS, ICH_PERF_SNAP_BURSTS, ICH_PERF_COLSTORE_POINTS
+ * and ICH_PERF_COLSTORE_TRIALS for CI smoke runs. The outer runner is
  * forced to 1 worker: wall-clock metrics must not contend (the inner
  * pool is what is being measured).
  */
@@ -88,7 +78,6 @@
 #include "common/rng.hh"
 #include "detect/detector.hh"
 #include "exp/exp.hh"
-#include "shard/shard.hh"
 #include "state/state.hh"
 
 using namespace ich;
@@ -101,9 +90,6 @@ struct GridOptions {
     std::vector<double> noiseAxis;
     std::vector<double> payloadAxis;
     std::vector<double> probeAxis;
-    std::vector<double> shardWorkersAxis;
-    std::vector<double> warmBurstsAxis; ///< distinct warm keys (shard)
-    std::vector<double> shardProbeAxis; ///< points per warm key (shard)
     std::vector<double> chunkRecordsAxis; ///< colstore flush thresholds
     std::vector<double> detectBurstsAxis; ///< PHI bursts (detect bench)
 };
@@ -117,10 +103,6 @@ gridFor(const std::string &name)
         g.noiseAxis = {0.0, 1000.0, 5000.0};
         g.payloadAxis = {16.0, 32.0};
         g.probeAxis = {300.0, 600.0, 900.0};
-        g.shardWorkersAxis = {1.0, 2.0};
-        g.warmBurstsAxis = {0.0, 250.0, 500.0, 750.0};
-        g.shardProbeAxis = {100.0, 200.0, 300.0, 400.0,
-                            500.0, 600.0, 700.0, 800.0};
         g.chunkRecordsAxis = {4096.0, 65536.0};
         g.detectBurstsAxis = {16.0, 48.0};
     } else if (name == "large") {
@@ -128,12 +110,6 @@ gridFor(const std::string &name)
         g.noiseAxis = {0.0, 500.0, 1000.0, 5000.0, 10000.0};
         g.payloadAxis = {16.0, 32.0, 64.0};
         g.probeAxis = {200.0, 400.0, 600.0, 800.0, 1000.0, 1200.0};
-        g.shardWorkersAxis = {1.0, 2.0, 4.0};
-        g.warmBurstsAxis = {0.0,    250.0,  500.0,  750.0,
-                            1000.0, 1250.0, 1500.0, 1750.0};
-        g.shardProbeAxis = {100.0, 200.0, 300.0,  400.0,
-                            500.0, 600.0, 700.0,  800.0,
-                            900.0, 1000.0, 1100.0, 1200.0};
         g.chunkRecordsAxis = {1024.0, 4096.0, 16384.0, 65536.0};
         g.detectBurstsAxis = {16.0, 48.0, 96.0};
     } else {
@@ -251,64 +227,6 @@ snapshotInnerSpec(const GridOptions &grid, bool warm_fork, int trials,
     return inner;
 }
 
-// ------------------------------------------------------ BENCH_shard
-
-/**
- * The sharded-sweep workload: warmup-heavy like the snapshot bench,
- * but with a warm_bursts axis so the grid has several *distinct* warm
- * keys — the consistent-hash ring then spreads warmups across worker
- * processes, which is where multi-process sharding wins.
- *
- * Registered in the registry (workers look it up by name and re-expand
- * it); the per-run base seed arrives via the coordinator handshake.
- */
-exp::ScenarioSpec
-shardInnerSpec(const GridOptions &grid, int trials, int base_bursts,
-               std::uint64_t seed)
-{
-    exp::ScenarioSpec inner;
-    inner.name = "BENCH_shard_inner";
-    inner.description =
-        "(internal) warmup-heavy workload for the sharding bench";
-    inner.axes = {exp::axis("warm_bursts", grid.warmBurstsAxis),
-                  exp::axis("probe_iters", grid.shardProbeAxis)};
-    inner.trials = trials;
-    inner.baseSeed = seed;
-    inner.run = [base_bursts](const exp::TrialContext &ctx) {
-        int bursts = base_bursts + ctx.point.getInt("warm_bursts");
-        std::unique_ptr<Simulation> sim =
-            ctx.warmSnapshot ? state::restore(*ctx.warmSnapshot)
-                             : warmSimulation(bursts);
-        sim->rng().seed(ctx.seed);
-        HwThread &thr = sim->chip().core(0).thread(0);
-        Program p;
-        p.mark(0);
-        p.loop(InstClass::k256Heavy,
-               static_cast<std::uint64_t>(ctx.point.get("probe_iters")),
-               100);
-        p.mark(1);
-        thr.setProgram(std::move(p));
-        thr.start();
-        sim->run(fromSeconds(10.0));
-        const auto &recs = thr.records();
-        exp::MetricMap m;
-        m["probe_us"] =
-            toMicroseconds(recs.at(1).time - recs.at(0).time);
-        m["volts"] = sim->chip().vccVolts();
-        return m;
-    };
-    inner.warmup = [base_bursts](const exp::ParamPoint &point) {
-        return state::snapshot(*warmSimulation(
-            base_bursts + point.getInt("warm_bursts")));
-    };
-    // One warm state per warm_bursts value: a handful of distinct keys
-    // for the ring to place, shared across the probe axis.
-    inner.warmupKey = [](const exp::ParamPoint &point) {
-        return "wb-" + std::to_string(point.getInt("warm_bursts"));
-    };
-    return inner;
-}
-
 // ---------------------------------------------------- BENCH_detect
 
 /**
@@ -403,7 +321,7 @@ colstoreRecord(const exp::SweepMeta &meta, std::size_t point, int trial)
 }
 
 exp::ScenarioRegistry
-buildScenarios(const GridOptions &grid, const std::string &grid_name)
+buildScenarios(const GridOptions &grid)
 {
     const int inner_trials = static_cast<int>(
         bench::envCount("ICH_PERF_SWEEP_TRIALS", 2));
@@ -411,10 +329,6 @@ buildScenarios(const GridOptions &grid, const std::string &grid_name)
         bench::envCount("ICH_PERF_SNAP_TRIALS", 2));
     const int snap_bursts = static_cast<int>(
         bench::envCount("ICH_PERF_SNAP_BURSTS", 96));
-    const int shard_trials = static_cast<int>(
-        bench::envCount("ICH_PERF_SHARD_TRIALS", 1));
-    const int shard_bursts = static_cast<int>(
-        bench::envCount("ICH_PERF_SHARD_BURSTS", 4000));
 
     exp::ScenarioRegistry reg;
     {
@@ -485,54 +399,6 @@ buildScenarios(const GridOptions &grid, const std::string &grid_name)
             m["points_per_sec"] = n_points / warm_dt;
             m["cold_points_per_sec"] = n_points / cold_dt;
             m["fork_speedup"] = cold_dt / warm_dt;
-            m["inner_trials"] = static_cast<double>(rw.trials.size());
-            return m;
-        };
-        reg.add(std::move(spec));
-    }
-    {
-        // The workload itself: registered so `--shard-worker` processes
-        // can look it up by name; never driven directly from main().
-        reg.add(shardInnerSpec(grid, snap_trials, shard_bursts, 17));
-    }
-    {
-        exp::ScenarioSpec spec;
-        spec.name = "BENCH_shard";
-        spec.description = "multi-process sharding: sweep wall clock "
-                           "with N worker processes vs in-process "
-                           "serial (byte-identity checked)";
-        spec.axes = {exp::axis("workers", grid.shardWorkersAxis)};
-        spec.trials = shard_trials;
-        spec.baseSeed = 13;
-        spec.run = [&grid, grid_name, snap_trials,
-                    shard_bursts](const exp::TrialContext &ctx) {
-            exp::ScenarioSpec inner = shardInnerSpec(
-                grid, snap_trials, shard_bursts, ctx.seed);
-
-            auto t0 = std::chrono::steady_clock::now();
-            exp::RunnerOptions serial_opts;
-            serial_opts.jobs = 1;
-            exp::SweepRunner serial_runner(serial_opts);
-            exp::SweepResult rs = serial_runner.run(inner);
-            double serial_dt = bench::secondsSince(t0);
-
-            shard::ShardOptions sopts;
-            sopts.workers = ctx.point.getInt("workers");
-            sopts.workerArgs = {"--grid", grid_name};
-            t0 = std::chrono::steady_clock::now();
-            exp::SweepResult rw = shard::runSharded(inner, sopts);
-            double shard_dt = bench::secondsSince(t0);
-
-            // Sharding is only a win if it is *exactly* the same sweep.
-            if (exp::jsonReport(rs, true) != exp::jsonReport(rw, true))
-                throw std::runtime_error(
-                    "sharded sweep diverged from serial sweep");
-
-            double n_points = static_cast<double>(rw.points.size());
-            exp::MetricMap m;
-            m["points_per_sec"] = n_points / shard_dt;
-            m["serial_points_per_sec"] = n_points / serial_dt;
-            m["shard_speedup"] = serial_dt / shard_dt;
             m["inner_trials"] = static_cast<double>(rw.trials.size());
             return m;
         };
@@ -772,7 +638,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    exp::ScenarioRegistry reg = buildScenarios(grid, grid_name);
+    exp::ScenarioRegistry reg = buildScenarios(grid);
     exp::CliOptions cli;
     int rc = exp::harnessSetup(static_cast<int>(args.size()),
                                args.data(), reg, cli);
@@ -799,15 +665,6 @@ main(int argc, char **argv)
         std::printf("\nwarm-state forking: mean %.2fx over re-warming "
                     "(max %.2fx), %.2f points/s warm\n",
                     speedup.mean, speedup.max, warm.mean);
-    }
-    if (exp::wantScenario(cli, "BENCH_shard")) {
-        exp::SweepResult res =
-            exp::runAndReport(*reg.find("BENCH_shard"), cli);
-        exp::MetricSummary speedup = exp::rollup(res, "shard_speedup");
-        std::printf("\nmulti-process sharding: %.2fx over serial at "
-                    "best worker count (mean %.2fx; 1 on a 1-core "
-                    "box is expected)\n",
-                    speedup.max, speedup.mean);
     }
     if (exp::wantScenario(cli, "BENCH_detect")) {
         exp::SweepResult res =

@@ -287,8 +287,6 @@ main(int argc, char **argv)
                                args.data(), reg, cli);
     if (rc >= 0)
         return rc;
-    if (opts.quick)
-        cli.shardWorkerArgs = {"--quick"};
 
     bench::banner("ROC campaigns",
                   "online detection vs the IChannels attacker");

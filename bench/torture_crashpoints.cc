@@ -1,8 +1,7 @@
 /**
  * @file
  * torture_crashpoints — CrashMonkey-style crash-consistency campaign
- * over the durability stack (state/chunkio, exp/colstore, exp/resume,
- * the shard protocol).
+ * over the durability stack (state/chunkio, exp/colstore, exp/resume).
  *
  * The harness first runs each victim workload fault-free in counting
  * mode (ICH_FAULT_COUNT_FILE) to discover every injectable fault point
@@ -10,8 +9,8 @@
  * the points one cycle at a time: fork/exec the victim with a one-rule
  * fault::Plan in ICH_FAULT_PLAN (crash, torn write, bit flip, ENOSPC,
  * EINTR, short write, dropped fsync...), let the fault land, and then
- * run the *real* recovery path (reader adoption, --resume, coordinator
- * scavenge/reassign). The invariant asserted after every cycle:
+ * run the *real* recovery path (reader adoption, --resume). The
+ * invariant asserted after every cycle:
  *
  *   recovery converges to a result bit-identical to the fault-free
  *   run, or the failure is loud — NEVER a silently wrong answer.
@@ -23,20 +22,14 @@
  *              run fresh (archive.write + chunk.write sites) and
  *              pre-seeded from a truncated store (chunk.read +
  *              archive.read sites)
- *   shard      an in-process ShardCoordinator whose worker 0 is armed
- *              with scripted process faults at named protocol points
- *              (shard.post-hello, shard.point-start, shard.post-sync,
- *              shard.result-frame) and scratch-store I/O faults
  *
  * Modes: --quick (default; the CI campaign, fixed seeds, bounded
  * occurrence caps) and --full (ICH_TORTURE_FULL=1; every occurrence
  * plus torn-offset and bit-position sweeps). Every failing cycle
  * prints a copy-pasteable repro line.
  *
- * Internal modes (spawned by the harness itself):
+ * Internal mode (spawned by the harness itself):
  *   --victim NAME --dir D    run one victim workload (faults via env)
- *   --shard-cycle SPEC       run one shard cycle (repro aid)
- *   --shard-worker ...       shard worker re-exec (harnessSetup)
  */
 
 #include <cinttypes>
@@ -57,7 +50,6 @@
 
 #include "exp/exp.hh"
 #include "fault/fault.hh"
-#include "shard/shard.hh"
 #include "state/state.hh"
 
 namespace ich
@@ -229,44 +221,6 @@ runVictimResume(const std::string &dir)
     report << json;
     report.close();
     return report ? 0 : 1;
-}
-
-/** Cheap, seed-sensitive shard scenario (worker re-exec registry). */
-exp::ScenarioSpec
-shardSpec()
-{
-    exp::ScenarioSpec spec;
-    spec.name = "torture-shard";
-    spec.description = "shard protocol torture workload";
-    spec.axes = {
-        exp::axis("x", {1.0, 2.0, 3.0}),
-        exp::axis("y", {0.5, 1.5}),
-    };
-    spec.trials = 2;
-    spec.baseSeed = 0xABCDull;
-    spec.run = [](const exp::TrialContext &ctx) {
-        std::uint64_t h = ctx.seed;
-        h ^= h >> 33;
-        h *= 0xFF51AFD7ED558CCDull;
-        h ^= h >> 33;
-        exp::MetricMap m;
-        m["mix"] = static_cast<double>(h >> 11) * 0x1p-42 +
-                   ctx.point.get("x") * ctx.point.get("y");
-        m["sum"] = ctx.point.get("x") + static_cast<double>(ctx.trial);
-        return m;
-    };
-    return spec;
-}
-
-const exp::ScenarioRegistry &
-tortureRegistry()
-{
-    static const exp::ScenarioRegistry reg = [] {
-        exp::ScenarioRegistry r;
-        r.add(shardSpec());
-        return r;
-    }();
-    return reg;
 }
 
 // -------------------------------------------------- bit-exact equality
@@ -592,46 +546,6 @@ runResumeCycle(const std::string &plan, const std::string &dir,
     return res;
 }
 
-struct ShardCycle {
-    std::string plan;
-    int stallMs = 0; ///< 0: keep the ShardOptions default
-    int maxUnitAttempts = 6;
-};
-
-CycleResult
-runShardCycle(const ShardCycle &cycle, const std::string &dir,
-              const std::string &golden_json)
-{
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    CycleResult res;
-    shard::ShardOptions opts;
-    opts.workers = 2;
-    opts.scratchDir = dir + "/scratch";
-    opts.binaryPath = gSelfExe;
-    opts.maxUnitAttempts = cycle.maxUnitAttempts;
-    opts.testWorker0FaultSpec = cycle.plan;
-    if (cycle.stallMs > 0)
-        opts.stallTimeoutMs = cycle.stallMs;
-    try {
-        exp::SweepResult sharded = shard::runSharded(shardSpec(), opts);
-        if (exp::jsonReport(sharded, true) != golden_json) {
-            res.outcome = Outcome::kFail;
-            res.detail =
-                "sharded report diverges from the fault-free run";
-            return res;
-        }
-        res.outcome = Outcome::kIdentical;
-    } catch (const std::exception &e) {
-        // Worker crash/hang/slow/torn faults are all recoverable by
-        // design (scavenge + reassign + respawn); an abort here means
-        // the coordinator failed to recover.
-        res.outcome = Outcome::kFail;
-        res.detail = std::string("sharded sweep aborted: ") + e.what();
-    }
-    return res;
-}
-
 // --------------------------------------------------------- enumeration
 
 /** (site, op) -> calls observed in one fault-free victim run. */
@@ -675,9 +589,8 @@ countVictim(const std::string &victim, const std::string &dir,
 }
 
 struct Cycle {
-    std::string workload; ///< colstore | resume | resume-seeded | shard
+    std::string workload; ///< colstore | resume | resume-seeded
     std::string plan;
-    ShardCycle shard; ///< when workload == "shard"
 };
 
 std::string
@@ -765,8 +678,7 @@ buildFileCycles(const CountMap &colstore_counts,
     // The write()==0 pathology, explicitly (arg=0 short write).
     cycles.push_back(
         {"colstore",
-         rulePlan(0x7071ull, "chunk.write", "write", 2, "short", 0),
-         {}});
+         rulePlan(0x7071ull, "chunk.write", "write", 2, "short", 0)});
 
     // fresh resume victim: warm-snapshot archives + checkpoint store.
     expand("resume", resume_fresh_counts, "archive.write", "open", 4,
@@ -789,48 +701,6 @@ buildFileCycles(const CountMap &colstore_counts,
            "open", 4, {"eio"});
     expand("resume-seeded", resume_seeded_counts, "archive.read",
            "read", 6, read_kinds);
-    return cycles;
-}
-
-std::vector<ShardCycle>
-buildShardCycles()
-{
-    auto plan = [](const std::string &rule, std::uint64_t seed) {
-        return "seed=" + std::to_string(seed) + ";" + rule;
-    };
-    std::vector<ShardCycle> cycles;
-    // Named protocol points: post-Hello, mid-Assign-batch (occ > 1
-    // fires between points of a batch), after-scratch-sync-before-
-    // Result, and a mid-frame tear of a result frame.
-    cycles.push_back({plan("site=shard.post-hello:op=point:occ=1"
-                           ":fault=crash", 11), 0, 6});
-    cycles.push_back({plan("site=shard.post-hello:op=point:occ=1"
-                           ":fault=hang", 12), 400, 6});
-    cycles.push_back({plan("site=shard.point-start:op=point:occ=1"
-                           ":fault=crash", 13), 0, 6});
-    cycles.push_back({plan("site=shard.point-start:op=point:occ=3"
-                           ":fault=crash", 14), 0, 6});
-    cycles.push_back({plan("site=shard.point-start:op=point:occ=1"
-                           ":fault=hang", 15), 400, 6});
-    cycles.push_back({plan("site=shard.point-start:op=point:occ=2"
-                           ":fault=slow:arg=50", 16), 0, 6});
-    cycles.push_back({plan("site=shard.post-sync:op=point:occ=1"
-                           ":fault=crash", 17), 0, 6});
-    cycles.push_back({plan("site=shard.result-frame:op=point:occ=1"
-                           ":fault=torn", 18), 0, 6});
-    cycles.push_back({plan("site=shard.result-frame:op=point:occ=1"
-                           ":fault=torn", 99), 0, 6});
-    cycles.push_back({plan("site=shard.result-frame:op=point:occ=2"
-                           ":fault=torn", 20), 0, 6});
-    // Worker scratch-store I/O faults: a tear kills the worker mid-
-    // append (scavenge + respawn), an error degrades scratch loudly
-    // on stderr while the sweep still completes byte-identically.
-    cycles.push_back({plan("site=chunk.write:op=write:occ=2"
-                           ":fault=torn", 21), 0, 6});
-    cycles.push_back({plan("site=chunk.write:op=write:occ=1"
-                           ":fault=enospc", 22), 0, 6});
-    cycles.push_back({plan("site=chunk.write:op=fsync:occ=1"
-                           ":fault=eio", 23), 0, 6});
     return cycles;
 }
 
@@ -883,10 +753,6 @@ runCampaign(bool full, bool verbose)
         fs::remove_all(dir);
         return json;
     }();
-    exp::RunnerOptions serial;
-    serial.jobs = 1;
-    const std::string shard_golden =
-        exp::jsonReport(exp::SweepRunner(serial).run(shardSpec()), true);
 
     CountMap colstore_counts =
         countVictim("colstore", root + "/count-colstore", false);
@@ -896,15 +762,11 @@ runCampaign(bool full, bool verbose)
         countVictim("resume", root + "/count-resume-seeded", true);
 
     std::uint64_t dropped = 0;
-    std::vector<Cycle> file_cycles =
+    std::vector<Cycle> cycles =
         buildFileCycles(colstore_counts, resume_fresh_counts,
                         resume_seeded_counts, full, dropped);
-    std::vector<ShardCycle> shard_cycles = buildShardCycles();
 
-    std::size_t planned = file_cycles.size() + shard_cycles.size();
-    std::printf("torture: %zu fault points planned (%zu file, %zu "
-                "shard)%s\n",
-                planned, file_cycles.size(), shard_cycles.size(),
+    std::printf("torture: %zu fault points planned%s\n", cycles.size(),
                 full ? "" : " — quick mode");
     if (dropped > 0)
         std::printf("torture: quick mode capped occurrence sweeps: %" PRIu64
@@ -914,7 +776,7 @@ runCampaign(bool full, bool verbose)
 
     Tally tally;
     const std::string cdir = root + "/cycle";
-    for (const Cycle &c : file_cycles) {
+    for (const Cycle &c : cycles) {
         CycleResult res;
         std::string repro;
         if (c.workload == "colstore") {
@@ -930,14 +792,6 @@ runCampaign(bool full, bool verbose)
                               "store to 2 points"
                             : "");
         }
-        reportCycle(tally, res, repro, verbose);
-    }
-    for (const ShardCycle &sc : shard_cycles) {
-        CycleResult res = runShardCycle(sc, cdir, shard_golden);
-        std::string repro = gSelfExe + " --shard-cycle '" + sc.plan +
-                            "'";
-        if (sc.stallMs > 0)
-            repro += " --stall " + std::to_string(sc.stallMs);
         reportCycle(tally, res, repro, verbose);
     }
 
@@ -978,20 +832,9 @@ int
 main(int argc, char **argv)
 {
     using namespace ich;
-    gSelfExe = shard::selfExecutablePath();
+    gSelfExe = std::filesystem::read_symlink("/proc/self/exe").string();
 
-    // Worker re-exec dispatch (the shard cycles fork/exec this binary).
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--shard-worker") {
-            exp::CliOptions cli;
-            int rc = exp::harnessSetup(argc, argv, tortureRegistry(),
-                                       cli);
-            return rc >= 0 ? rc : 1;
-        }
-    }
-
-    std::string victim, dir, shard_cycle;
-    int stall_ms = 0;
+    std::string victim, dir;
     bool full = std::getenv("ICH_TORTURE_FULL") != nullptr;
     bool verbose = false;
     for (int i = 1; i < argc; ++i) {
@@ -1008,10 +851,6 @@ main(int argc, char **argv)
             victim = next();
         else if (arg == "--dir")
             dir = next();
-        else if (arg == "--shard-cycle")
-            shard_cycle = next();
-        else if (arg == "--stall")
-            stall_ms = std::atoi(next().c_str());
         else if (arg == "--full")
             full = true;
         else if (arg == "--quick")
@@ -1023,9 +862,7 @@ main(int argc, char **argv)
                          "usage: torture_crashpoints [--quick|--full] "
                          "[--verbose]\n"
                          "       torture_crashpoints --victim "
-                         "colstore|resume --dir DIR\n"
-                         "       torture_crashpoints --shard-cycle "
-                         "SPEC [--stall MS]\n");
+                         "colstore|resume --dir DIR\n");
             return 2;
         }
     }
@@ -1050,29 +887,6 @@ main(int argc, char **argv)
             std::fprintf(stderr, "victim aborted: %s\n", e.what());
             return 1;
         }
-    }
-
-    if (!shard_cycle.empty()) {
-        exp::RunnerOptions serial;
-        serial.jobs = 1;
-        std::string golden =
-            exp::jsonReport(exp::SweepRunner(serial).run(shardSpec()),
-                            true);
-        ShardCycle sc;
-        sc.plan = shard_cycle;
-        sc.stallMs = stall_ms;
-        std::string cdir =
-            (std::filesystem::temp_directory_path() /
-             ("ich-torture-cycle-" + std::to_string(::getpid())))
-                .string();
-        CycleResult res = runShardCycle(sc, cdir, golden);
-        std::filesystem::remove_all(cdir);
-        if (res.outcome == Outcome::kFail) {
-            std::fprintf(stderr, "FAIL: %s\n", res.detail.c_str());
-            return 1;
-        }
-        std::printf("ok: shard cycle recovered byte-identically\n");
-        return 0;
     }
 
     return runCampaign(full, verbose);

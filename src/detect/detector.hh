@@ -20,7 +20,7 @@
  *    state, so BER/TP metrics are identical with and without the bank.
  *  - Snapshot-composable: full saveState()/restoreState(), so a bank
  *    attached before a warm-fork snapshot restores bit-exactly in
- *    every forked trial (and across --jobs N / --shard N).
+ *    every forked trial (and across --jobs N).
  *
  * Two outputs per detector:
  *
@@ -198,7 +198,7 @@ class Detector : public Clocked
  * kPersistent members of one rate group, in a fixed order — so a bank
  * constructed with the same config on a restored Simulation satisfies
  * the Ticker's persistent-member contract and the whole arrangement
- * composes with warm-fork snapshots and --shard workers.
+ * composes with warm-fork snapshots.
  */
 class DetectorBank
 {

@@ -79,27 +79,6 @@ parseCli(int argc, const char *const *argv)
             if (cli.renderFrom.empty())
                 throw std::invalid_argument(
                     "--render-from: empty directory");
-        } else if (arg == "--shard") {
-            cli.shard = parsePositiveInt(arg, next(i, arg));
-        } else if (arg == "--shard-worker") {
-            cli.shardWorker = true;
-        } else if (arg == "--shard-in") {
-            cli.shardInFd =
-                static_cast<int>(parseU64(arg, next(i, arg)));
-        } else if (arg == "--shard-out") {
-            cli.shardOutFd =
-                static_cast<int>(parseU64(arg, next(i, arg)));
-        } else if (arg == "--shard-scratch") {
-            cli.shardScratch = next(i, arg);
-            if (cli.shardScratch.empty())
-                throw std::invalid_argument(
-                    "--shard-scratch: empty directory");
-        } else if (arg == "--shard-kill-after") {
-            cli.shardKillAfter = parsePositiveInt(arg, next(i, arg));
-        } else if (arg == "--shard-fault") {
-            cli.shardFault = next(i, arg);
-            if (cli.shardFault.empty())
-                throw std::invalid_argument("--shard-fault: empty spec");
         } else if (arg == "--list") {
             cli.list = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -141,9 +120,6 @@ cliUsage(const std::string &prog)
            "the columnar\n"
            "                  store and aggregate points as they "
            "complete\n"
-           "  --shard N       run sweeps across N worker processes "
-           "(byte-identical\n"
-           "                  to --jobs 1; combines with --resume)\n"
            "  --render-from DIR\n"
            "                  re-render reports from DIR's column store "
            "without\n"

@@ -18,9 +18,6 @@
  *                 aggregate points as they complete, instead of
  *                 materializing every trial in memory; reports are
  *                 byte-identical to the materialized path
- *   --shard N     run sweeps across N worker *processes* (fork/exec of
- *                 this binary) instead of in-process threads; results
- *                 are byte-identical to --jobs 1
  *   --render-from DIR
  *                 no simulation: re-render reports (and the harness
  *                 epilogue) from the column store a previous --stream /
@@ -29,20 +26,6 @@
  *   --list        list available scenarios and exit
  *   --help        usage
  *   NAME...       positional: run only the named scenarios
- *
- * Internal flags (spawned by the shard coordinator, not for humans):
- *
- *   --shard-worker           enter worker mode: speak the shard
- *                            protocol on --shard-in/--shard-out
- *   --shard-in FD            frames from the coordinator
- *   --shard-out FD           frames to the coordinator
- *   --shard-scratch DIR      per-worker snapshot cache + manifest
- *   --shard-kill-after N     failure injection: SIGKILL while starting
- *                            the Nth assigned unit (tests only)
- *   --shard-fault SPEC       failure injection: arm a fault::Plan in
- *                            the worker (fault/fault.hh grammar) so
- *                            scripted faults fire at named protocol
- *                            points and I/O sites (tests/torture only)
  */
 
 #ifndef ICH_EXP_CLI_HH
@@ -71,28 +54,11 @@ struct CliOptions {
     /** Streaming result path: spill to the column store, aggregate on
      *  the fly, keep no in-memory trial vector (million-point sweeps). */
     bool stream = false;
-    int shard = 0; ///< > 0: run sweeps across N worker processes
     /** Non-empty: skip simulation, re-render from this results dir. */
     std::string renderFrom;
     bool list = false;
     bool help = false;
     std::vector<std::string> scenarios; ///< empty: run everything
-
-    /**
-     * Extra argv for spawned shard workers: harness-specific flags the
-     * worker binary needs to rebuild the same scenario registry (e.g.
-     * perf_sweep's "--grid large"). Harnesses fill this after
-     * harnessSetup; ignored unless shard > 0.
-     */
-    std::vector<std::string> shardWorkerArgs;
-
-    // --- internal worker mode (set by the coordinator's spawn) ---
-    bool shardWorker = false;
-    int shardInFd = -1;
-    int shardOutFd = -1;
-    std::string shardScratch;
-    int shardKillAfter = 0;
-    std::string shardFault; ///< fault::Plan spec to arm in the worker
 };
 
 /**

@@ -490,7 +490,7 @@ ColumnStoreReader::ColumnStoreReader(const std::string &path) : path_(path)
     bool have_footer = false;
 
     // Per-point fingerprint of already-indexed points, used to verify
-    // that duplicates (a crashed worker re-completing a point) carry
+    // that duplicates (a point appended twice to an adopted store) carry
     // identical bits. FNV-1a over the canonical row encoding — cheap
     // relative to re-decoding both copies, and a collision would have
     // to also pass the per-frame CRC to slip through.

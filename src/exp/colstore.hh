@@ -1,7 +1,7 @@
 /**
  * @file
  * The append-only columnar result store: one durable on-disk format
- * for sweep results, --resume checkpoints, and shard worker scratch.
+ * for sweep results and --resume checkpoints.
  *
  * A store is a CRC-framed chunk file (state/chunkio.hh) with three
  * chunk kinds:
@@ -22,9 +22,9 @@
  * exactly the completed points, O(1) append cost per point (the old
  * text manifest rewrote the whole file per point: O(points²)).
  *
- * Duplicate points (a worker crash can legitimately complete a point
- * twice) must be bit-identical; conflicting duplicates are corruption
- * and raise ArchiveError at read time.
+ * Duplicate points (the same point appended twice to an adopted store)
+ * must be bit-identical; conflicting duplicates are corruption and
+ * raise ArchiveError at read time.
  */
 
 #ifndef ICH_EXP_COLSTORE_HH
@@ -58,8 +58,8 @@ constexpr std::uint32_t kColFormatVersion = 1;
  *
  * beginSweep() adopts an existing file whose header matches the sweep
  * (appends continue after its valid frames — this is how resume
- * checkpoints and respawned-worker scratch survive), and recreates the
- * file otherwise. endSweep() writes the footer.
+ * checkpoints survive), and recreates the file otherwise. endSweep()
+ * writes the footer.
  */
 class ColumnStoreWriter final : public ResultSink
 {

@@ -9,8 +9,6 @@
 #include "exp/resume.hh"
 #include "exp/runner.hh"
 #include "fault/fault.hh"
-#include "shard/coordinator.hh"
-#include "shard/worker.hh"
 
 namespace ich
 {
@@ -37,32 +35,6 @@ class MetaCaptureSink final : public ResultSink
     SweepMeta meta_;
 };
 
-shard::ShardOptions
-toShardOptions(const CliOptions &cli)
-{
-    shard::ShardOptions sopts;
-    sopts.workers = cli.shard;
-    sopts.seed = cli.seed;
-    sopts.trials = cli.trials;
-    if (cli.resume)
-        sopts.resumeDir = cli.outDir;
-    sopts.workerArgs = cli.shardWorkerArgs;
-    if (const char *stall = std::getenv("ICH_SHARD_STALL_MS")) {
-        // Escape hatch for sweeps whose single points legitimately run
-        // longer than the 30 s default (0 disables the watchdog).
-        try {
-            sopts.stallTimeoutMs =
-                static_cast<int>(std::stol(stall));
-        } catch (const std::exception &) {
-            std::fprintf(stderr,
-                         "warning: ignoring non-numeric "
-                         "ICH_SHARD_STALL_MS='%s'\n",
-                         stall);
-        }
-    }
-    return sopts;
-}
-
 } // namespace
 
 int
@@ -85,24 +57,6 @@ harnessSetup(int argc, const char *const *argv,
         std::fprintf(stderr, "error: %s\n%s", e.what(),
                      cliUsage(prog).c_str());
         return 2;
-    }
-    if (cli.shardWorker) {
-        // Spawned by a ShardCoordinator: become a protocol worker and
-        // never return to the harness body.
-        if (cli.shardInFd < 0 || cli.shardOutFd < 0 ||
-            cli.shardScratch.empty()) {
-            std::fprintf(stderr,
-                         "error: --shard-worker needs --shard-in, "
-                         "--shard-out and --shard-scratch\n");
-            return 2;
-        }
-        shard::WorkerConfig wcfg;
-        wcfg.inFd = cli.shardInFd;
-        wcfg.outFd = cli.shardOutFd;
-        wcfg.scratchDir = cli.shardScratch;
-        wcfg.killAfterUnits = cli.shardKillAfter;
-        wcfg.faultSpec = cli.shardFault;
-        return shard::runWorker(registry, wcfg);
     }
     if (cli.help) {
         std::printf("%s", cliUsage(prog).c_str());
@@ -230,7 +184,7 @@ runAndReportStreaming(const ScenarioSpec &spec, const CliOptions &cli)
     const std::string store_path =
         resultStorePath(cli.outDir, spec.name);
     if (!cli.resume) {
-        // With --resume the runner/coordinator already checkpoints
+        // With --resume the runner already checkpoints
         // every point into this exact path; without it, the driver
         // spills in batch mode so the report view has a store to read.
         // That spill starts fresh: beginSweep() would adopt a matching
@@ -244,13 +198,8 @@ runAndReportStreaming(const ScenarioSpec &spec, const CliOptions &cli)
 
     StreamStats stats;
     try {
-        if (cli.shard > 0) {
-            stats = shard::runShardedStreaming(spec, toShardOptions(cli),
-                                               tee);
-        } else {
-            SweepRunner runner(toRunnerOptions(cli));
-            stats = runner.runStreaming(spec, tee);
-        }
+        SweepRunner runner(toRunnerOptions(cli));
+        stats = runner.runStreaming(spec, tee);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         std::exit(1);
@@ -292,12 +241,8 @@ runAndReport(const ScenarioSpec &spec, const CliOptions &cli)
 
     SweepResult result;
     try {
-        if (cli.shard > 0) {
-            result = shard::runSharded(spec, toShardOptions(cli));
-        } else {
-            SweepRunner runner(toRunnerOptions(cli));
-            result = runner.run(spec);
-        }
+        SweepRunner runner(toRunnerOptions(cli));
+        result = runner.run(spec);
     } catch (const std::exception &e) {
         // A failing trial is fatal for a CLI harness, but must surface
         // as a clean message, not an uncaught-exception abort.

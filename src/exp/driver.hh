@@ -36,11 +36,6 @@ namespace exp
  * Returns -1 when the harness should proceed; otherwise the process
  * exit code (0 for --help/--list, 2 for bad flags or unknown scenario
  * names, with the message already printed).
- *
- * `--shard-worker` is also dispatched here: the process becomes a
- * shard-protocol worker over the inherited pipe fds and the returned
- * value is its exit code — so every harness binary is its own worker
- * binary with no extra code.
  */
 int harnessSetup(int argc, const char *const *argv,
                  const ScenarioRegistry &registry, CliOptions &cli);

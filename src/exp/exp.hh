@@ -6,8 +6,7 @@
  *  - scenario.hh   declarative ScenarioSpec / parameter axes / registry
  *  - sink.hh       streaming ResultSink API (aggregator / tee /
  *                  materializer)
- *  - colstore.hh   append-only columnar result store (spill + resume +
- *                  shard scratch)
+ *  - colstore.hh   append-only columnar result store (spill + resume)
  *  - runner.hh     SweepRunner: worker-pool fan-out, deterministic seeds
  *  - aggregate.hh  per-point metric summaries + whole-sweep rollups
  *  - resume.hh     completed-points result store + warm-snapshot cache

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <stdexcept>
 
 #include "exp/colstore.hh"
 #include "state/archive.hh"
@@ -124,69 +123,6 @@ writeManifest(const std::string &path, const ResumeManifest &m)
     hdr.numPoints = m.numPoints;
     hdr.gridFp = m.gridFp;
     state::atomicWriteFile(path, encodeColumnStore(hdr, m.points));
-}
-
-namespace
-{
-
-bool
-trialsBitEqual(const std::vector<TrialRecord> &a,
-               const std::vector<TrialRecord> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].trial != b[i].trial || a[i].seed != b[i].seed ||
-            a[i].metrics.size() != b[i].metrics.size())
-            return false;
-        auto ma = a[i].metrics.begin();
-        for (auto mb = b[i].metrics.begin(); mb != b[i].metrics.end();
-             ++ma, ++mb) {
-            if (ma->first != mb->first ||
-                doubleBits(ma->second) != doubleBits(mb->second))
-                return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
-
-std::vector<std::size_t>
-mergeManifest(ResumeManifest &dst, const ResumeManifest &src)
-{
-    if (!dst.matches(src))
-        throw std::runtime_error(
-            "mergeManifest: manifests describe different sweeps "
-            "(scenario/seed/trials/grid mismatch)");
-    std::vector<std::size_t> added;
-    for (const auto &kv : src.points) {
-        if (kv.first >= dst.numPoints)
-            throw std::runtime_error(
-                "mergeManifest: point " + std::to_string(kv.first) +
-                " beyond the grid (" + std::to_string(dst.numPoints) +
-                " points)");
-        if (kv.second.size() !=
-            static_cast<std::size_t>(dst.trialsPerPoint))
-            throw std::runtime_error(
-                "mergeManifest: point " + std::to_string(kv.first) +
-                " has " + std::to_string(kv.second.size()) +
-                " trials, expected " +
-                std::to_string(dst.trialsPerPoint));
-        auto it = dst.points.find(kv.first);
-        if (it != dst.points.end()) {
-            if (!trialsBitEqual(it->second, kv.second))
-                throw std::runtime_error(
-                    "mergeManifest: duplicate records for point " +
-                    std::to_string(kv.first) +
-                    " disagree bit-for-bit (corruption or "
-                    "nondeterministic trials)");
-            continue; // identical duplicate: silent dedupe
-        }
-        dst.points[kv.first] = kv.second;
-        added.push_back(kv.first);
-    }
-    return added;
 }
 
 } // namespace exp

@@ -19,9 +19,9 @@
  * leaves a torn tail that readers drop; every completed point before
  * it survives.
  *
- * The ResumeManifest struct remains the in-memory exchange format for
- * shard-merge and scavenging; loadManifest()/writeManifest() now read
- * and atomically write column stores underneath it.
+ * ResumeManifest is the in-memory form of one such store:
+ * loadManifest() reads a column store into it and writeManifest()
+ * atomically writes it back as one.
  */
 
 #ifndef ICH_EXP_RESUME_HH
@@ -77,25 +77,10 @@ bool loadManifest(const std::string &path, ResumeManifest &out);
 
 /**
  * Atomically persist @p m as a whole column store (creates the
- * directory when needed). This is the rewrite path for merges; the
+ * directory when needed). This is the whole-store rewrite path; the
  * incremental checkpoint path is ColumnStoreWriter in durable mode.
  */
 void writeManifest(const std::string &path, const ResumeManifest &m);
-
-/**
- * Merge @p src's completed points into @p dst. Both manifests must
- * describe the same sweep (matches()), or this throws. A point present
- * in both must carry bit-identical trial records: identical duplicates
- * dedupe silently (re-running a point is legitimate after a worker
- * crash), while records that differ in any metric bit, seed, or trial
- * order throw std::runtime_error — diverging duplicates mean
- * corruption or nondeterminism and must never be papered over.
- *
- * Returns the indices of points newly added to @p dst, in ascending
- * order.
- */
-std::vector<std::size_t> mergeManifest(ResumeManifest &dst,
-                                       const ResumeManifest &src);
 
 } // namespace exp
 } // namespace ich

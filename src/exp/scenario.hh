@@ -203,8 +203,8 @@ std::vector<ParamPoint> expandPoints(const ScenarioSpec &spec);
 
 /**
  * Deterministic per-trial seed: splitmix64 of the base seed and the
- * global trial index, so any execution order (serial, pooled, sharded)
- * sees the same seed for the same trial.
+ * global trial index, so any execution order (serial or pooled) sees
+ * the same seed for the same trial.
  */
 std::uint64_t deriveTrialSeed(std::uint64_t base_seed,
                               std::uint64_t trial_index);

@@ -3,8 +3,7 @@
  * Streaming result-path API: sweeps push completed grid points into
  * ResultSinks instead of materializing a whole-sweep trial vector.
  *
- * The contract, shared by SweepRunner::runStreaming and
- * ShardCoordinator::runStreaming:
+ * The contract SweepRunner::runStreaming keeps:
  *
  *  - beginSweep(meta) once, before any point.
  *  - acceptPoint(idx, records, n) once per grid point, with the

@@ -1,14 +1,10 @@
 #include "fault/fault.hh"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
-
-#include <csignal>
 
 namespace ich
 {
@@ -63,8 +59,6 @@ Kind
 parseKind(const std::string &name)
 {
     if (name == "crash") return Kind::kCrash;
-    if (name == "hang") return Kind::kHang;
-    if (name == "slow") return Kind::kSlow;
     if (name == "eintr") return Kind::kEintr;
     if (name == "enospc") return Kind::kEnospc;
     if (name == "eio") return Kind::kEio;
@@ -74,6 +68,19 @@ parseKind(const std::string &name)
     if (name == "fsync-drop") return Kind::kFsyncDrop;
     throw std::invalid_argument("fault plan: unknown fault kind '" +
                                 name + "'");
+}
+
+/** The syscall classes the io:: wrappers report (plus "*"). */
+std::string
+parseOp(const std::string &name)
+{
+    for (const char *op : {"open", "read", "write", "fsync", "truncate",
+                           "rename", "*"})
+        if (name == op)
+            return name;
+    throw std::invalid_argument("fault plan: unknown op '" + name +
+                                "' (want open|read|write|fsync|"
+                                "truncate|rename|*)");
 }
 
 std::uint64_t
@@ -117,8 +124,6 @@ kindName(Kind k)
     switch (k) {
       case Kind::kNone: return "none";
       case Kind::kCrash: return "crash";
-      case Kind::kHang: return "hang";
-      case Kind::kSlow: return "slow";
       case Kind::kEintr: return "eintr";
       case Kind::kEnospc: return "enospc";
       case Kind::kEio: return "eio";
@@ -170,7 +175,7 @@ parsePlan(const std::string &spec)
                 rule.site = val;
                 have_site = true;
             } else if (key == "op") {
-                rule.op = val;
+                rule.op = parseOp(val);
             } else if (key == "occ") {
                 rule.occ = parseNum("occ", val);
             } else if (key == "fault") {
@@ -273,37 +278,6 @@ decide(const char *site, const char *op, const char *path,
         return true;
     }
     return false;
-}
-
-bool
-procPoint(const char *site, std::uint64_t *torn_arg)
-{
-    if (!active())
-        return false;
-    Decision d;
-    if (!decide(site, "point", nullptr, d))
-        return false;
-    switch (d.kind) {
-      case Kind::kCrash:
-        std::raise(SIGKILL);
-        return false; // unreachable
-      case Kind::kHang:
-        for (;;)
-            std::this_thread::sleep_for(std::chrono::seconds(1));
-      case Kind::kSlow: {
-        std::uint64_t ms = d.arg != kNoArg ? d.arg : 200;
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        return false;
-      }
-      case Kind::kTorn:
-        if (torn_arg)
-            *torn_arg = d.arg != kNoArg ? d.arg : d.draw;
-        return true;
-      default:
-        // File-op kinds make no sense at a process point; ignore so a
-        // wildcard rule aimed at file ops doesn't trip protocol sites.
-        return false;
-    }
 }
 
 } // namespace fault

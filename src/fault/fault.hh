@@ -11,24 +11,23 @@
  *   spec   := [seed=S;] rule (';' rule)*
  *   rule   := site=SITE:op=OP:occ=N:fault=KIND[:arg=A][:path=SUB]
  *
- *   SITE   injection site tag ("chunk.write", "archive.write",
- *          "shard.post-sync", ... or "*")
+ *   SITE   injection site tag ("chunk.write", "archive.write", ...
+ *          or "*")
  *   OP     syscall class at the site: open|read|write|fsync|truncate|
- *          rename|point ("point" = a process-fault site) or "*"
+ *          rename or "*"; anything else is rejected, because no call
+ *          could ever match it
  *   N      1-based Nth matching call fires the fault once; 0 = every
  *          matching call
- *   KIND   crash | hang | slow | eintr | enospc | eio | short | torn |
- *          bitflip | fsync-drop
+ *   KIND   crash | eintr | enospc | eio | short | torn | bitflip |
+ *          fsync-drop
  *   A      kind-specific argument (bytes for short/torn, bit index for
- *          bitflip, milliseconds for slow); omitted = derived from the
- *          plan seed via splitmix64, so unspecified faults are still
- *          deterministic
+ *          bitflip); omitted = derived from the plan seed via
+ *          splitmix64, so unspecified faults are still deterministic
  *   SUB    only fire when the target path contains SUB
  *
  * The injection points are the io::FileOps wrappers (io/fileops.hh) —
  * routed through by state/chunkio and state/archive, and therefore by
- * everything layered on them (exp/colstore, exp/resume, shard scratch)
- * — plus explicit procPoint() calls at named shard-protocol points.
+ * everything layered on them (exp/colstore, exp/resume).
  * With no plan armed every wrapper is a single predicted-not-taken
  * branch in front of the real syscall: the seam is free (BENCH floors
  * are unaffected).
@@ -58,8 +57,6 @@ constexpr std::uint64_t kNoArg = ~0ull;
 enum class Kind : int {
     kNone = 0,
     kCrash,     ///< raise(SIGKILL) before the operation
-    kHang,      ///< never return (the stall watchdog's prey)
-    kSlow,      ///< sleep arg ms (default 200), then proceed normally
     kEintr,     ///< fail with errno = EINTR (must be retried)
     kEnospc,    ///< fail with errno = ENOSPC (must throw loudly)
     kEio,       ///< fail with errno = EIO (must throw loudly)
@@ -127,14 +124,6 @@ struct Decision {
  */
 bool decide(const char *site, const char *op, const char *path,
             Decision &out);
-
-/**
- * Process-fault hook for named protocol points (op "point"). Crash,
- * hang and slow execute internally; a torn rule returns true with the
- * seeded tear offset in @p torn_arg so the caller can write a partial
- * frame before dying (raise SIGKILL after the partial write yourself).
- */
-bool procPoint(const char *site, std::uint64_t *torn_arg = nullptr);
 
 } // namespace fault
 } // namespace ich

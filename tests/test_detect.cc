@@ -2,21 +2,15 @@
  * @file
  * Tests for the online covert-channel detection subsystem (src/detect/):
  * count-min/Nitrosketch accuracy bounds on synthetic streams, detector
- * determinism (trial-level, --jobs, --shard), snapshot byte-identity
- * with a DetectorBank attached through the SnapshotHooks/RestoreHooks
+ * determinism (trial-level and --jobs), snapshot byte-identity with a
+ * DetectorBank attached through the SnapshotHooks/RestoreHooks
  * extension points, attacker-vs-honest score separation, and the
  * adaptive attacker's sub-budget behavior.
- *
- * This binary supplies its own main(): like test_shard, it doubles as
- * the shard worker (the coordinator fork/execs /proc/self/exe with
- * --shard-worker), so the registry below is shared between the gtest
- * process and every spawned worker.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -26,15 +20,12 @@
 #include "detect/sketch.hh"
 #include "detect/tenant.hh"
 #include "exp/exp.hh"
-#include "shard/shard.hh"
 #include "state/state.hh"
 
 namespace ich
 {
 namespace
 {
-
-namespace fs = std::filesystem;
 
 /** Small, fast co-residency trial config shared by the tests. */
 detect::TenantConfig
@@ -66,23 +57,6 @@ detectSpec()
     };
     return spec;
 }
-
-} // namespace
-
-/** Worker-visible registry (must be reachable from main()). */
-const exp::ScenarioRegistry &
-detectTestRegistry()
-{
-    static const exp::ScenarioRegistry reg = [] {
-        exp::ScenarioRegistry r;
-        r.add(detectSpec());
-        return r;
-    }();
-    return reg;
-}
-
-namespace
-{
 
 // ------------------------------------------------------ count-min sketch
 
@@ -174,35 +148,13 @@ TEST(DetectTenant, TrialsAreBitwiseDeterministic)
 
 TEST(DetectTenant, JobsAreByteIdentical)
 {
-    const exp::ScenarioSpec &spec =
-        *detectTestRegistry().find("detect-tenant");
+    const exp::ScenarioSpec spec = detectSpec();
     exp::RunnerOptions serial;
     serial.jobs = 1;
     exp::RunnerOptions pooled;
     pooled.jobs = 4;
     EXPECT_EQ(exp::jsonReport(exp::SweepRunner(serial).run(spec), true),
               exp::jsonReport(exp::SweepRunner(pooled).run(spec), true));
-}
-
-TEST(DetectTenant, ShardedSweepIsByteIdenticalToSerial)
-{
-    const exp::ScenarioSpec &spec =
-        *detectTestRegistry().find("detect-tenant");
-    fs::path scratch =
-        fs::path(::testing::TempDir()) / "detect_shard_scratch";
-    fs::remove_all(scratch);
-    fs::create_directories(scratch);
-
-    shard::ShardOptions opts;
-    opts.workers = 2;
-    opts.scratchDir = scratch.string();
-    exp::SweepResult sharded = shard::runSharded(spec, opts);
-
-    exp::RunnerOptions serial;
-    serial.jobs = 1;
-    EXPECT_EQ(exp::jsonReport(sharded, true),
-              exp::jsonReport(exp::SweepRunner(serial).run(spec), true));
-    fs::remove_all(scratch);
 }
 
 TEST(DetectTenant, AdaptiveAttackerStaysUnderTheBudget)
@@ -351,18 +303,3 @@ TEST(DetectSnapshot, AttachedBankNeverPerturbsThePhysics)
 
 } // namespace
 } // namespace ich
-
-int
-main(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--shard-worker") {
-            ich::exp::CliOptions cli;
-            int rc = ich::exp::harnessSetup(
-                argc, argv, ich::detectTestRegistry(), cli);
-            return rc >= 0 ? rc : 1;
-        }
-    }
-    ::testing::InitGoogleTest(&argc, argv);
-    return RUN_ALL_TESTS();
-}

@@ -86,6 +86,9 @@ TEST(Cli, Rejections)
     EXPECT_THROW(parse({"--trials", "0"}), std::invalid_argument);
     EXPECT_THROW(parse({"--out", ""}), std::invalid_argument);
     EXPECT_THROW(parse({"--frobnicate"}), std::invalid_argument);
+    // Removed flags must fail loudly, not fall back to a serial run.
+    EXPECT_THROW(parse({"--shard", "2"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--shard-worker"}), std::invalid_argument);
 }
 
 TEST(Cli, ToRunnerOptions)

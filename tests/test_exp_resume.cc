@@ -296,75 +296,6 @@ TEST(Resume, TruncatedStoreRecoversItsWholePointPrefix)
     EXPECT_EQ(exp::jsonReport(resumed, true), full);
 }
 
-exp::ResumeManifest
-mergeFixture()
-{
-    exp::ResumeManifest m;
-    m.scenario = "merge";
-    m.baseSeed = 11;
-    m.trialsPerPoint = 1;
-    m.numPoints = 4;
-    m.gridFp = 0xFEEDu;
-    return m;
-}
-
-exp::TrialRecord
-mergeRecord(std::size_t point, double value)
-{
-    exp::TrialRecord rec;
-    rec.pointIndex = point;
-    rec.trial = 0;
-    rec.seed = 100 + point;
-    rec.metrics["v"] = value;
-    return rec;
-}
-
-TEST(ManifestMerge, DisjointPointsMergeAndReportAddedIndices)
-{
-    exp::ResumeManifest dst = mergeFixture();
-    dst.points[0] = {mergeRecord(0, 1.5)};
-    exp::ResumeManifest src = mergeFixture();
-    src.points[2] = {mergeRecord(2, 2.5)};
-    src.points[1] = {mergeRecord(1, 3.5)};
-
-    std::vector<std::size_t> added = exp::mergeManifest(dst, src);
-    EXPECT_EQ(added, (std::vector<std::size_t>{1, 2}));
-    EXPECT_EQ(dst.points.size(), 3u);
-    EXPECT_EQ(dst.points.at(2).at(0).metrics.at("v"), 2.5);
-}
-
-TEST(ManifestMerge, IdenticalDuplicatesDedupeSilently)
-{
-    exp::ResumeManifest dst = mergeFixture();
-    dst.points[1] = {mergeRecord(1, 0.1 + 0.2)};
-    exp::ResumeManifest src = mergeFixture();
-    src.points[1] = {mergeRecord(1, 0.1 + 0.2)};
-
-    std::vector<std::size_t> added = exp::mergeManifest(dst, src);
-    EXPECT_TRUE(added.empty());
-    EXPECT_EQ(dst.points.size(), 1u);
-}
-
-TEST(ManifestMerge, ConflictingMetricBitsThrow)
-{
-    exp::ResumeManifest dst = mergeFixture();
-    dst.points[1] = {mergeRecord(1, 0.3)};
-    exp::ResumeManifest src = mergeFixture();
-    src.points[1] = {mergeRecord(1, 0.1 + 0.2)}; // != 0.3 in bits
-
-    EXPECT_THROW(exp::mergeManifest(dst, src), std::runtime_error);
-}
-
-TEST(ManifestMerge, MismatchedSweepHeadersThrow)
-{
-    exp::ResumeManifest dst = mergeFixture();
-    exp::ResumeManifest src = mergeFixture();
-    src.baseSeed = 12; // a different sweep entirely
-    src.points[0] = {mergeRecord(0, 1.0)};
-
-    EXPECT_THROW(exp::mergeManifest(dst, src), std::runtime_error);
-}
-
 TEST(Resume, ManifestRoundTripsBitExactMetrics)
 {
     exp::ResumeManifest m;

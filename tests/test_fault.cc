@@ -5,7 +5,7 @@
  * and end-to-end in-process injection through the chunkio/archive
  * stack (EINTR must be retried transparently, errors must throw loudly
  * with path and site, torn/bitflip corruption must be caught by the
- * frame CRC). Crash/hang kinds are exercised out-of-process by
+ * frame CRC). Crash and torn kinds are exercised out-of-process by
  * bench/torture_crashpoints; in-process tests stick to survivable
  * faults.
  */
@@ -92,6 +92,16 @@ TEST(FaultPlan, RejectsMalformedSpecs)
                  std::invalid_argument);
     EXPECT_THROW(fault::parsePlan("site=x:fault=crash:unknown=1"),
                  std::invalid_argument);
+    // Kinds and ops no wrapper honours would arm a rule that can never
+    // fire, so a torture cycle built on one would pass untested.
+    EXPECT_THROW(fault::parsePlan("site=x:fault=hang"),
+                 std::invalid_argument);
+    EXPECT_THROW(fault::parsePlan("site=x:fault=slow"),
+                 std::invalid_argument);
+    EXPECT_THROW(fault::parsePlan("site=x:op=point:fault=crash"),
+                 std::invalid_argument);
+    EXPECT_THROW(fault::parsePlan("site=x:op=wrte:fault=crash"),
+                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------- occurrence
@@ -141,7 +151,7 @@ TEST(FaultPlan, RearmRestartsTheOccurrenceClock)
     fault::Decision d;
     EXPECT_TRUE(fault::decide("s", "write", "f", d));
     EXPECT_FALSE(fault::decide("s", "write", "f", d));
-    fault::arm(plan); // a respawned worker re-arms the same spec
+    fault::arm(plan);
     EXPECT_TRUE(fault::decide("s", "write", "f", d));
 }
 
