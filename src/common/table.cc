@@ -39,41 +39,31 @@ Table::toString() const
     for (const auto &row : rows_)
         for (std::size_t c = 0; c < row.size(); ++c)
             widths[c] = std::max(widths[c], row[c].size());
+    std::size_t line = 1; // '\n'
+    for (std::size_t w : widths)
+        line += w + 2;
 
-    std::ostringstream os;
+    // Left-aligned cells padded to the column width plus a two-space
+    // gutter. Widths count bytes, so a multi-byte "±" cell pads by its
+    // byte length, not its display width.
+    std::string out;
+    out.reserve(line * (rows_.size() + 2));
     auto emit = [&](const std::vector<std::string> &row) {
         for (std::size_t c = 0; c < row.size(); ++c) {
-            os << std::left << std::setw(static_cast<int>(widths[c]) + 2)
-               << row[c];
+            out += row[c];
+            out.append(widths[c] + 2 - row[c].size(), ' ');
         }
-        os << "\n";
+        out += '\n';
     };
     emit(header_);
-    std::string rule;
-    for (std::size_t c = 0; c < header_.size(); ++c)
-        rule += std::string(widths[c], '-') + "  ";
-    os << rule << "\n";
+    for (std::size_t c = 0; c < header_.size(); ++c) {
+        out.append(widths[c], '-');
+        out.append(2, ' ');
+    }
+    out += '\n';
     for (const auto &row : rows_)
         emit(row);
-    return os.str();
-}
-
-std::string
-Table::toCsv() const
-{
-    std::ostringstream os;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ",";
-            os << row[c];
-        }
-        os << "\n";
-    };
-    emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-    return os.str();
+    return out;
 }
 
 } // namespace ich

@@ -1,7 +1,7 @@
 /**
  * @file
- * Plain-text table / CSV emitters used by the bench harnesses to print the
- * rows and series the paper's tables and figures report.
+ * Plain-text table emitter used by the bench harnesses to print the rows
+ * and series the paper's tables and figures report.
  */
 
 #ifndef ICH_COMMON_TABLE_HH
@@ -29,7 +29,6 @@ class Table
     static std::string fmt(double v, int precision = 2);
 
     std::string toString() const;
-    std::string toCsv() const;
 
     std::size_t rows() const { return rows_.size(); }
     std::size_t columns() const { return header_.size(); }

@@ -1,7 +1,9 @@
 #include "exp/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 namespace ich
 {
@@ -38,9 +40,13 @@ JsonWriter::number(double v)
 {
     if (!std::isfinite(v))
         return "null";
+    // to_chars(general, 10) is printf's "%.10g" in the C locale.
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    return buf;
+    auto r = std::to_chars(buf, buf + sizeof buf, v,
+                           std::chars_format::general, 10);
+    if (r.ec != std::errc())
+        throw std::logic_error("JsonWriter::number: to_chars overflowed");
+    return std::string(buf, r.ptr);
 }
 
 void

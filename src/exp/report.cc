@@ -41,19 +41,24 @@ writeSummary(JsonWriter &w, const MetricSummary &m)
     w.endObject();
 }
 
-std::string
-csvEscape(const std::string &s)
+/**
+ * Append @p s to @p out as one CSV field, quoted if it holds a comma, a
+ * quote or a newline.
+ */
+void
+appendCsvField(std::string &out, const std::string &s)
 {
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
+    if (s.find_first_of(",\"\n") == std::string::npos) {
+        out += s;
+        return;
+    }
+    out += '"';
     for (char c : s) {
         if (c == '"')
             out += '"';
         out += c;
     }
     out += '"';
-    return out;
 }
 
 /**
@@ -137,6 +142,7 @@ textCore(const View &v)
     Table t(header);
     for (const auto &pa : v.aggregates) {
         std::vector<std::string> row;
+        row.reserve(header.size());
         for (const auto &a : axes)
             row.push_back(pa.point.label(a));
         for (const auto &m : metrics) {
@@ -238,36 +244,41 @@ csvCore(const View &v)
             axes.push_back(e.name);
 
     std::string out;
-    bool first = true;
+    const char *sep = ""; // "," once the line has a field
     for (const auto &a : axes) {
-        out += (first ? "" : ",") + csvEscape(a);
-        first = false;
+        out += sep;
+        appendCsvField(out, a);
+        sep = ",";
     }
     for (const auto &m : metrics) {
-        out += (first ? "" : ",") + csvEscape(m + "_mean");
-        out += "," + csvEscape(m + "_stddev");
-        first = false;
+        out += sep;
+        appendCsvField(out, m + "_mean");
+        out += ',';
+        appendCsvField(out, m + "_stddev");
+        sep = ",";
     }
-    out += "\n";
+    out += '\n';
 
     for (const auto &pa : v.aggregates) {
-        first = true;
+        sep = "";
         for (const auto &a : axes) {
-            out += (first ? "" : ",") + csvEscape(pa.point.label(a));
-            first = false;
+            out += sep;
+            appendCsvField(out, pa.point.label(a));
+            sep = ",";
         }
         for (const auto &m : metrics) {
+            out += sep;
+            sep = ",";
             auto it = pa.metrics.find(m);
-            std::string mean = "-";
-            std::string sd = "-";
-            if (it != pa.metrics.end()) {
-                mean = formatValue(it->second.mean);
-                sd = formatValue(it->second.stddev);
+            if (it == pa.metrics.end()) {
+                out += "-,-";
+                continue;
             }
-            out += (first ? "" : ",") + mean + "," + sd;
-            first = false;
+            out += formatValue(it->second.mean);
+            out += ',';
+            out += formatValue(it->second.stddev);
         }
-        out += "\n";
+        out += '\n';
     }
     return out;
 }

@@ -1,6 +1,6 @@
 #include "exp/scenario.hh"
 
-#include <cstdio>
+#include <charconv>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_set>
@@ -26,9 +26,14 @@ internString(const std::string &s)
 std::string
 formatValue(double v)
 {
+    // C++17 specifies to_chars(general, 6) as printf's "%g" in the C
+    // locale: report cells and default axis labels render as "%g".
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
+    auto r = std::to_chars(buf, buf + sizeof buf, v,
+                           std::chars_format::general, 6);
+    if (r.ec != std::errc())
+        throw std::logic_error("formatValue: to_chars overflowed");
+    return std::string(buf, r.ptr);
 }
 
 ParamAxis

@@ -110,7 +110,10 @@ ParamAxis axisLabeledValues(
     std::string name,
     const std::vector<std::pair<std::string, double>> &labeled_values);
 
-/** Compact numeric rendering used for default labels and CSV cells. */
+/**
+ * Compact numeric rendering, byte for byte printf's "%g", used for
+ * default labels and report cells.
+ */
 std::string formatValue(double v);
 
 /** One point of the expanded sweep: an ordered set of (axis, value). */

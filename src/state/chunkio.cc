@@ -20,7 +20,7 @@ namespace
 {
 
 constexpr std::size_t kFrameHeaderSize = 4 + 4 + 4; // magic | kind | len
-constexpr std::size_t kFrameTrailerSize = 4;        // crc32(body)
+constexpr std::size_t kFrameTrailerSize = 4;        // crc32(header|body)
 
 void
 put32(Buffer &out, std::uint32_t v)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Golden-file tests for the JSON/CSV/text reporters, plus the JSON
- * writer primitives and writeReports() round-trip.
+ * writer primitives and writeReports() round-trip. The report number
+ * formatters are checked against printf as an oracle.
  *
  * The golden fixture's metrics are binary-exact doubles that depend
  * only on the grid point, so every summary statistic (mean, stddev,
@@ -11,8 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "exp/exp.hh"
@@ -186,16 +193,15 @@ TEST(Report, GoldenCsv)
 
 TEST(Report, TextShapeAndCells)
 {
-    std::string text = textReport(goldenResult());
-    // Header with axis + metric columns, one row per point, seed note.
-    EXPECT_NE(text.find("k "), std::string::npos);
-    EXPECT_NE(text.find("ber"), std::string::npos);
-    EXPECT_NE(text.find("val"), std::string::npos);
-    EXPECT_NE(text.find("lo"), std::string::npos);
-    EXPECT_NE(text.find("0.25 ±0"), std::string::npos);
-    EXPECT_NE(text.find("20 ±0"), std::string::npos);
-    EXPECT_NE(text.find("(2 trials/point, base seed 5)"),
-              std::string::npos);
+    // Header with axis + metric columns, a rule, one row per point and
+    // the seed note. Columns pad to the widest cell's byte length plus
+    // two spaces, so the two-byte "±" widens its column by one.
+    EXPECT_EQ(textReport(goldenResult()),
+              "k   ber       val     \n"
+              "--  --------  ------  \n"
+              "lo  0.25 ±0  10 ±0  \n"
+              "hi  0.5 ±0   20 ±0  \n"
+              "(2 trials/point, base seed 5)\n");
 
     // Single-trial sweeps show the raw value, no ± and no seed note.
     RunnerOptions opts;
@@ -211,6 +217,103 @@ TEST(Report, TextShapeAndCells)
     std::string single = textReport(SweepRunner(opts).run(spec));
     EXPECT_EQ(single.find("±"), std::string::npos);
     EXPECT_EQ(single.find("trials/point"), std::string::npos);
+}
+
+TEST(Report, MissingMetricRendersDash)
+{
+    // The second point never emits metric "b": its text cell and both
+    // CSV cells show "-".
+    ScenarioSpec spec;
+    spec.name = "missing";
+    spec.axes = {axisLabeledValues("k", {{"lo", 1.0}, {"hi", 2.0}})};
+    spec.run = [](const TrialContext &ctx) {
+        MetricMap m{{"a", 1.5}};
+        if (ctx.point.label("k") == "lo")
+            m["b"] = 2.0;
+        return m;
+    };
+    RunnerOptions opts;
+    opts.jobs = 1;
+    opts.trials = 1;
+    SweepResult result = SweepRunner(opts).run(spec);
+    EXPECT_EQ(textReport(result), "k   a    b  \n"
+                                  "--  ---  -  \n"
+                                  "lo  1.5  2  \n"
+                                  "hi  1.5  -  \n");
+    EXPECT_EQ(csvReport(result), "k,a_mean,a_stddev,b_mean,b_stddev\n"
+                                 "lo,1.5,0,2,0\n"
+                                 "hi,1.5,0,-,-\n");
+}
+
+/** printf's rendering of @p v under @p fmt: the oracle for to_chars. */
+std::string
+printfDouble(const char *fmt, double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, fmt, v);
+    return buf;
+}
+
+/** Values where "%g"-style rounding and notation switch. */
+std::vector<double>
+formattingEdgeValues()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    return {0.0, -0.0, inf, -inf, nan, std::copysign(nan, -1.0),
+            // Subnormal, smallest normal, largest finite.
+            5e-324, DBL_MIN, DBL_MAX,
+            // Where "%g" switches between fixed and exponent notation.
+            1e-5, 1e-4, 0.000099999951, 999999.5, 9999995, 1e16,
+            // Exact rounding ties, and a typical report value.
+            123456.5, 1234565, -2816.9014084507};
+}
+
+/**
+ * @p n seeded random bit patterns, then exact decimal rounding ties at
+ * 6 and 10 significant digits.
+ */
+std::vector<double>
+randomDoubles(std::size_t n)
+{
+    std::mt19937_64 rng(0xF0A7);
+    std::vector<double> out;
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t bits = rng();
+        double v;
+        std::memcpy(&v, &bits, sizeof v);
+        out.push_back(v);
+    }
+    // A p-digit integer plus one half, and a (p+1)-digit integer ending
+    // in 5: both sit exactly halfway between two p-digit renderings.
+    for (std::uint64_t lo : {100000ull, 1000000000ull})
+        for (std::size_t i = 0; i < n / 40; ++i) {
+            std::uint64_t k = lo + rng() % (9 * lo);
+            out.push_back(static_cast<double>(k) + 0.5);
+            out.push_back(static_cast<double>(10 * k + 5));
+        }
+    return out;
+}
+
+TEST(FormatValue, MatchesPrintfG)
+{
+    for (double v : formattingEdgeValues())
+        EXPECT_EQ(formatValue(v), printfDouble("%g", v)) << "value " << v;
+    for (double v : randomDoubles(100000))
+        ASSERT_EQ(formatValue(v), printfDouble("%g", v))
+            << "value " << printfDouble("%a", v);
+}
+
+TEST(JsonWriter, NumberMatchesPrintf10g)
+{
+    for (double v : formattingEdgeValues())
+        EXPECT_EQ(JsonWriter::number(v),
+                  std::isfinite(v) ? printfDouble("%.10g", v) : "null")
+            << "value " << v;
+    for (double v : randomDoubles(100000))
+        ASSERT_EQ(JsonWriter::number(v),
+                  std::isfinite(v) ? printfDouble("%.10g", v) : "null")
+            << "value " << printfDouble("%a", v);
 }
 
 TEST(Report, CsvEscapesReservedCharacters)

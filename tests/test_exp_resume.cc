@@ -296,6 +296,20 @@ TEST(Resume, TruncatedStoreRecoversItsWholePointPrefix)
     EXPECT_EQ(exp::jsonReport(resumed, true), full);
 }
 
+TEST(Resume, GridFingerprintIsPinned)
+{
+    // Every store on disk carries its grid's fingerprint, and a store is
+    // resumed or re-rendered only when it matches. The value is pinned,
+    // so a change to how it is computed cannot orphan existing stores.
+    exp::ScenarioSpec spec;
+    spec.name = "fingerprint";
+    spec.axes = {exp::axis("rate", {0.5, 1e-300, -0.0, 10000.0}),
+                 exp::axisLabeledValues("who", {{"a b=c", 1.0}, {"", 2.0}})};
+    std::vector<exp::ParamPoint> points = exp::expandPoints(spec);
+    ASSERT_EQ(points.size(), 8u);
+    EXPECT_EQ(exp::gridFingerprint(points), 0x55f0b98fee4ec449ull);
+}
+
 TEST(Resume, ManifestRoundTripsBitExactMetrics)
 {
     exp::ResumeManifest m;
