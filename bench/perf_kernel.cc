@@ -612,8 +612,7 @@ simTickMetrics(std::uint64_t iters, unsigned probes, std::uint64_t seed)
     std::vector<ChipProbe> obs_t(probes);
     for (ChipProbe &p : obs_t) {
         p.chip = &sim_t->chip();
-        sim_t->chip().ticker().add(p, TickRate{probe_period, 0, 0},
-                                   Ticker::Ownership::kTransient);
+        sim_t->chip().ticker().add(p, TickRate{probe_period, 0, 0});
     }
     auto t0 = std::chrono::steady_clock::now();
     Time end_t = sim_t->run();
@@ -698,8 +697,7 @@ simFfMetrics(std::uint64_t iters, unsigned probes, std::uint64_t seed)
             obs[i].chip = &sim.chip();
             Time phase = probes > 0 ? (probe_period * i) / probes : 0;
             sim.chip().ticker().add(obs[i],
-                                    TickRate{probe_period, phase, 0},
-                                    Ticker::Ownership::kTransient);
+                                    TickRate{probe_period, phase, 0});
         }
         RunOut out;
         auto t0 = std::chrono::steady_clock::now();

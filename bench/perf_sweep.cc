@@ -2,20 +2,13 @@
  * @file
  * End-to-end sweep-throughput benchmarks.
  *
- * Four scenarios (each writes `<name>.json` under `--json --out DIR`):
+ * Three scenarios (each writes `<name>.json` under `--json --out DIR`):
  *
  *  - BENCH_sweep: one complete src/exp sweep — a thread-channel BER
  *    grid with real Simulation trials — per outer point, on an inner
  *    SweepRunner pinned to N workers; reports points/sec and
  *    trials/sec. The jobs axis shows how the worker pool scales now
  *    that the event kernel, not the allocator, is the bottleneck.
- *
- *  - BENCH_snapshot: the warm-state-forking benchmark. Each trial runs
- *    the same warmup-heavy inner sweep twice — cold (every trial
- *    re-simulates PDN settle + guardband ramp) and warm (one warmup per
- *    unique config, snapshotted via src/state and forked per trial) —
- *    verifies the two reports are byte-identical, and reports
- *    points/sec for both plus fork_speedup = warm/cold.
  *
  *  - BENCH_detect: online-detection overhead. Each trial runs the same
  *    PHI-burst workload unwatched and with a full detect::DetectorBank
@@ -54,8 +47,8 @@
  *                          O(total trials) baseline the gate contrasts.
  *
  * Inner workloads scale down via ICH_PERF_SWEEP_TRIALS,
- * ICH_PERF_SNAP_TRIALS, ICH_PERF_SNAP_BURSTS, ICH_PERF_COLSTORE_POINTS
- * and ICH_PERF_COLSTORE_TRIALS for CI smoke runs. The outer runner is
+ * ICH_PERF_COLSTORE_POINTS and ICH_PERF_COLSTORE_TRIALS for CI smoke
+ * runs. The outer runner is
  * forced to 1 worker: wall-clock metrics must not contend (the inner
  * pool is what is being measured).
  */
@@ -78,7 +71,6 @@
 #include "common/rng.hh"
 #include "detect/detector.hh"
 #include "exp/exp.hh"
-#include "state/state.hh"
 
 using namespace ich;
 
@@ -89,7 +81,6 @@ struct GridOptions {
     std::vector<double> jobsAxis;
     std::vector<double> noiseAxis;
     std::vector<double> payloadAxis;
-    std::vector<double> probeAxis;
     std::vector<double> chunkRecordsAxis; ///< colstore flush thresholds
     std::vector<double> detectBurstsAxis; ///< PHI bursts (detect bench)
 };
@@ -102,14 +93,12 @@ gridFor(const std::string &name)
         g.jobsAxis = {1.0, 2.0, 4.0};
         g.noiseAxis = {0.0, 1000.0, 5000.0};
         g.payloadAxis = {16.0, 32.0};
-        g.probeAxis = {300.0, 600.0, 900.0};
         g.chunkRecordsAxis = {4096.0, 65536.0};
         g.detectBurstsAxis = {16.0, 48.0};
     } else if (name == "large") {
         g.jobsAxis = {1.0, 2.0, 4.0, 8.0};
         g.noiseAxis = {0.0, 500.0, 1000.0, 5000.0, 10000.0};
         g.payloadAxis = {16.0, 32.0, 64.0};
-        g.probeAxis = {200.0, 400.0, 600.0, 800.0, 1000.0, 1200.0};
         g.chunkRecordsAxis = {1024.0, 4096.0, 16384.0, 65536.0};
         g.detectBurstsAxis = {16.0, 48.0, 96.0};
     } else {
@@ -147,83 +136,6 @@ innerSpec(const GridOptions &grid, int trials, std::uint64_t seed)
         m["throughput_bps"] = r.throughputBps;
         return m;
     };
-    return inner;
-}
-
-// --------------------------------------------------- BENCH_snapshot
-
-constexpr std::uint64_t kWarmSeed = 0x5EED0u;
-
-/**
- * The warmup every trial of the snapshot benchmark depends on: PHI
- * burst cycles across both cores (guardband ramps, SVID queueing,
- * throttling, decay) followed by PDN settle. Deliberately the dominant
- * cost of a trial — exactly the work warm forking amortizes.
- */
-std::unique_ptr<Simulation>
-warmSimulation(int bursts)
-{
-    auto sim = std::make_unique<Simulation>(
-        bench::pinned(presets::cannonLake(), 1.4), kWarmSeed);
-    for (int c = 0; c < sim->chip().coreCount(); ++c) {
-        Program p;
-        for (int b = 0; b < bursts; ++b) {
-            p.loop(InstClass::k256Heavy, 400, 100);
-            p.idle(fromMicroseconds(700)); // let the hysteresis decay
-            p.loop(InstClass::k512Heavy, 200, 100);
-            p.idle(fromMicroseconds(700));
-        }
-        HwThread &thr = sim->chip().core(c).thread(0);
-        thr.setProgram(std::move(p));
-        thr.start();
-    }
-    sim->run(fromSeconds(10.0));
-    state::quiesce(*sim);
-    return sim;
-}
-
-/** Warmup-heavy inner sweep; cold when @p warm_fork is off. */
-exp::ScenarioSpec
-snapshotInnerSpec(const GridOptions &grid, bool warm_fork, int trials,
-                  int bursts, std::uint64_t seed)
-{
-    exp::ScenarioSpec inner;
-    inner.name = warm_fork ? "inner-warm-fork" : "inner-cold";
-    inner.description = "throttle-period probe after a warmed chip";
-    inner.axes = {exp::axis("probe_iters", grid.probeAxis)};
-    inner.trials = trials;
-    inner.baseSeed = seed;
-    inner.run = [bursts](const exp::TrialContext &ctx) {
-        std::unique_ptr<Simulation> sim =
-            ctx.warmSnapshot ? state::restore(*ctx.warmSnapshot)
-                             : warmSimulation(bursts);
-        sim->rng().seed(ctx.seed);
-        HwThread &thr = sim->chip().core(0).thread(0);
-        Program p;
-        p.mark(0);
-        p.loop(InstClass::k256Heavy,
-               static_cast<std::uint64_t>(ctx.point.get("probe_iters")),
-               100);
-        p.mark(1);
-        thr.setProgram(std::move(p));
-        thr.start();
-        sim->run(fromSeconds(10.0));
-        const auto &recs = thr.records();
-        exp::MetricMap m;
-        m["probe_us"] =
-            toMicroseconds(recs.at(1).time - recs.at(0).time);
-        m["volts"] = sim->chip().vccVolts();
-        return m;
-    };
-    if (warm_fork) {
-        inner.warmup = [bursts](const exp::ParamPoint &) {
-            return state::snapshot(*warmSimulation(bursts));
-        };
-        // Warmup is probe-independent: one snapshot serves the grid.
-        inner.warmupKey = [](const exp::ParamPoint &) {
-            return std::string("shared");
-        };
-    }
     return inner;
 }
 
@@ -325,10 +237,6 @@ buildScenarios(const GridOptions &grid)
 {
     const int inner_trials = static_cast<int>(
         bench::envCount("ICH_PERF_SWEEP_TRIALS", 2));
-    const int snap_trials = static_cast<int>(
-        bench::envCount("ICH_PERF_SNAP_TRIALS", 2));
-    const int snap_bursts = static_cast<int>(
-        bench::envCount("ICH_PERF_SNAP_BURSTS", 96));
 
     exp::ScenarioRegistry reg;
     {
@@ -358,48 +266,6 @@ buildScenarios(const GridOptions &grid)
             m["sweep_wall_ms"] = dt * 1e3;
             // Sanity tie-in so a broken inner sweep shows in the JSON.
             m["inner_trials"] = static_cast<double>(r.trials.size());
-            return m;
-        };
-        reg.add(std::move(spec));
-    }
-    {
-        exp::ScenarioSpec spec;
-        spec.name = "BENCH_snapshot";
-        spec.description = "warm-state forking: points/sec forked from "
-                           "a snapshot vs re-simulated warmup";
-        spec.axes = {exp::axis("jobs", grid.jobsAxis)};
-        spec.trials = 2;
-        spec.baseSeed = 11;
-        spec.run = [&grid, snap_trials,
-                    snap_bursts](const exp::TrialContext &ctx) {
-            exp::RunnerOptions opts;
-            opts.jobs = ctx.point.getInt("jobs");
-            exp::SweepRunner runner(opts);
-
-            exp::ScenarioSpec cold = snapshotInnerSpec(
-                grid, false, snap_trials, snap_bursts, ctx.seed);
-            exp::ScenarioSpec warm = snapshotInnerSpec(
-                grid, true, snap_trials, snap_bursts, ctx.seed);
-
-            auto t0 = std::chrono::steady_clock::now();
-            exp::SweepResult rc = runner.run(cold);
-            double cold_dt = bench::secondsSince(t0);
-            t0 = std::chrono::steady_clock::now();
-            exp::SweepResult rw = runner.run(warm);
-            double warm_dt = bench::secondsSince(t0);
-
-            // The fork is only a win if it is *exactly* the same sweep.
-            rc.scenario = rw.scenario = "inner";
-            if (exp::jsonReport(rc, true) != exp::jsonReport(rw, true))
-                throw std::runtime_error(
-                    "warm-forked sweep diverged from cold sweep");
-
-            double n_points = static_cast<double>(rw.points.size());
-            exp::MetricMap m;
-            m["points_per_sec"] = n_points / warm_dt;
-            m["cold_points_per_sec"] = n_points / cold_dt;
-            m["fork_speedup"] = cold_dt / warm_dt;
-            m["inner_trials"] = static_cast<double>(rw.trials.size());
             return m;
         };
         reg.add(std::move(spec));
@@ -656,15 +522,6 @@ main(int argc, char **argv)
         std::printf("\nsweep throughput: mean %.2f points/s across jobs "
                     "settings (max %.2f)\n\n",
                     pps.mean, pps.max);
-    }
-    if (exp::wantScenario(cli, "BENCH_snapshot")) {
-        exp::SweepResult res =
-            exp::runAndReport(*reg.find("BENCH_snapshot"), cli);
-        exp::MetricSummary speedup = exp::rollup(res, "fork_speedup");
-        exp::MetricSummary warm = exp::rollup(res, "points_per_sec");
-        std::printf("\nwarm-state forking: mean %.2fx over re-warming "
-                    "(max %.2fx), %.2f points/s warm\n",
-                    speedup.mean, speedup.max, warm.mean);
     }
     if (exp::wantScenario(cli, "BENCH_detect")) {
         exp::SweepResult res =

@@ -18,10 +18,9 @@
  * Workloads:
  *   colstore   durable ColumnStoreWriter fed synthetic deterministic
  *              records (chunk.write open/write/fsync sites)
- *   resume     a real SweepRunner --resume sweep with warm snapshots;
- *              run fresh (archive.write + chunk.write sites) and
- *              pre-seeded from a truncated store (chunk.read +
- *              archive.read sites)
+ *   resume     a real SweepRunner --resume sweep; run fresh
+ *              (chunk.write sites) and pre-seeded from a truncated
+ *              store (chunk.read sites)
  *
  * Modes: --quick (default; the CI campaign, fixed seeds, bounded
  * occurrence caps) and --full (ICH_TORTURE_FULL=1; every occurrence
@@ -50,7 +49,6 @@
 
 #include "exp/exp.hh"
 #include "fault/fault.hh"
-#include "state/state.hh"
 
 namespace ich
 {
@@ -154,9 +152,8 @@ runVictimColstore(const std::string &dir)
 }
 
 /**
- * The resume victim: a real SweepRunner sweep with warm snapshots
- * (synthetic archives, so warmup hits archive.write/read without
- * simulating a chip) checkpointing into @p dir.
+ * The resume victim: a real SweepRunner sweep with synthetic trials
+ * (no chip simulated), checkpointing into the result directory.
  */
 exp::ScenarioSpec
 resumeSpec()
@@ -170,23 +167,9 @@ resumeSpec()
     };
     spec.trials = 2;
     spec.baseSeed = 0xFEEDull;
-    spec.warmupKey = [](const exp::ParamPoint &pt) {
-        return "k" + std::to_string(pt.getInt("k"));
-    };
-    spec.warmup = [](const exp::ParamPoint &pt) {
-        state::ArchiveWriter w;
-        w.beginSection("warm");
-        w.putU64(1000 + static_cast<std::uint64_t>(pt.getInt("k")) * 17);
-        w.endSection();
-        return w.finish();
-    };
     spec.run = [](const exp::TrialContext &ctx) {
-        std::uint64_t z = 0;
-        if (ctx.warmSnapshot) {
-            state::ArchiveReader ar(*ctx.warmSnapshot);
-            state::SectionReader sec = ar.open("warm");
-            z = sec.getU64();
-        }
+        const std::uint64_t z =
+            1000 + static_cast<std::uint64_t>(ctx.point.getInt("k")) * 17;
         std::uint64_t h = ctx.seed ^ (z * 0x9E3779B97F4A7C15ull);
         h ^= h >> 33;
         h *= 0xFF51AFD7ED558CCDull;
@@ -424,7 +407,7 @@ recoverColstore(const std::string &dir, const PointMap &golden,
                 if (!have.count(kv.first))
                     writer.acceptPoint(kv.first, kv.second.data(),
                                        kv.second.size());
-            writer.sync();
+            writer.endSweep();
         } catch (const std::exception &e) {
             res.outcome = Outcome::kFail;
             res.detail = std::string("repair failed: ") + e.what();
@@ -471,9 +454,10 @@ runColstoreCycle(const std::string &plan, const std::string &dir,
 }
 
 /**
- * Pre-seed a resume directory: run the sweep to completion, then trim
- * the checkpoint store to two points (as if the run died early), so
- * the victim's resume pass exercises the read-side sites.
+ * Pre-seed a resume directory: run the sweep to completion, then
+ * rewrite the checkpoint store with only its first two points (as if
+ * the run died early), so the victim's resume pass exercises the
+ * read-side sites.
  */
 void
 seedResumeDir(const std::string &dir)
@@ -481,17 +465,22 @@ seedResumeDir(const std::string &dir)
     fs::remove_all(dir);
     fs::create_directories(dir);
     runResumeSweep(dir);
-    std::string mpath =
-        exp::resultStorePath(dir, resumeSpec().name);
-    exp::ResumeManifest m;
-    if (!exp::loadManifest(mpath, m)) {
-        std::fprintf(stderr,
-                     "torture: pre-seed manifest load failed\n");
+    const std::string path = exp::resultStorePath(dir, resumeSpec().name);
+    PointMap first;
+    std::string err;
+    if (!decodeStore(path, first, err) || first.size() < 2) {
+        std::fprintf(stderr, "torture: pre-seed store read failed: %s\n",
+                     err.c_str());
         std::exit(2);
     }
-    while (m.points.size() > 2)
-        m.points.erase(std::prev(m.points.end()));
-    exp::writeManifest(mpath, m);
+    first.erase(std::next(first.begin(), 2), first.end());
+    // A fresh writer would adopt the complete store; start from none.
+    fs::remove(path);
+    exp::ColumnStoreWriter writer(path);
+    writer.beginSweep(metaFor(resumeSpec()));
+    for (const auto &kv : first)
+        writer.acceptPoint(kv.first, kv.second.data(), kv.second.size());
+    writer.endSweep();
 }
 
 CycleResult
@@ -538,7 +527,7 @@ runResumeCycle(const std::string &plan, const std::string &dir,
         res.outcome = Outcome::kIdentical;
     } catch (const std::exception &e) {
         // --resume must absorb anything a crash can leave behind
-        // (corrupt stores and snapshots are detected and recomputed),
+        // (corrupt stores are detected and recomputed),
         // so recovery refusing to run is an invariant violation.
         res.outcome = Outcome::kFail;
         res.detail = std::string("resume recovery threw: ") + e.what();
@@ -653,7 +642,6 @@ buildFileCycles(const CountMap &colstore_counts,
     const std::vector<std::string> fsync_kinds = {"crash", "eio",
                                                   "fsync-drop"};
     const std::vector<std::string> open_kinds = {"crash", "enospc"};
-    const std::vector<std::string> rename_kinds = {"crash", "eio"};
     const std::vector<std::string> read_kinds = {"eio", "eintr"};
 
     std::vector<Cycle> cycles;
@@ -680,15 +668,7 @@ buildFileCycles(const CountMap &colstore_counts,
         {"colstore",
          rulePlan(0x7071ull, "chunk.write", "write", 2, "short", 0)});
 
-    // fresh resume victim: warm-snapshot archives + checkpoint store.
-    expand("resume", resume_fresh_counts, "archive.write", "open", 4,
-           open_kinds);
-    expand("resume", resume_fresh_counts, "archive.write", "write", 8,
-           write_kinds);
-    expand("resume", resume_fresh_counts, "archive.write", "fsync", 8,
-           fsync_kinds);
-    expand("resume", resume_fresh_counts, "archive.write", "rename", 8,
-           rename_kinds);
+    // fresh resume victim: the checkpoint store.
     expand("resume", resume_fresh_counts, "chunk.write", "write", 8,
            {"crash", "torn"});
 
@@ -697,10 +677,6 @@ buildFileCycles(const CountMap &colstore_counts,
            2, {"eio"});
     expand("resume-seeded", resume_seeded_counts, "chunk.read", "read",
            10, read_kinds);
-    expand("resume-seeded", resume_seeded_counts, "archive.read",
-           "open", 4, {"eio"});
-    expand("resume-seeded", resume_seeded_counts, "archive.read",
-           "read", 6, read_kinds);
     return cycles;
 }
 

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "state/snapshot.hh"
-
 namespace ich
 {
 
@@ -16,7 +14,7 @@ Chip::Chip(EventQueue &eq, Rng &rng, const ChipConfig &cfg)
     activity_.resize(cores_.size());
     pmu_ = std::make_unique<CentralPmu>(eq_, rng_, ticker_, cfg_.pmu,
                                         *this);
-    planner_ = std::make_unique<HorizonPlanner>(ticker_, *pmu_);
+    planner_ = std::make_unique<HorizonPlanner>(ticker_);
     thermalTick_.chip = this;
     if (cfg_.thermal.sampleInterval > 0)
         ticker_.add(thermalTick_,
@@ -112,24 +110,6 @@ double
 Chip::tjCelsius()
 {
     return thermal_.update(eq_.now(), powerWatts());
-}
-
-void
-Chip::saveState(state::SaveContext &ctx) const
-{
-    thermal_.saveState(ctx);
-    for (const auto &core : cores_)
-        core->saveState(ctx);
-}
-
-void
-Chip::restoreState(state::SectionReader &r, state::RestoreContext &ctx)
-{
-    thermal_.restoreState(r);
-    for (auto &core : cores_)
-        core->restoreState(r, ctx);
-    for (std::size_t i = 0; i < cores_.size(); ++i)
-        activity_[i] = cores_[i]->activity();
 }
 
 } // namespace ich

@@ -21,7 +21,6 @@
 #include "cpu/chip_api.hh"
 #include "cpu/core.hh"
 #include "pmu/central_pmu.hh"
-#include "state/fwd.hh"
 #include "thermal/thermal_model.hh"
 
 namespace ich
@@ -62,14 +61,6 @@ class Chip : public ChipApi, public PmuHooks
     /** Fast-forward horizon planner (inline tick pump + diagnostics). */
     HorizonPlanner &planner() { return *planner_; }
     const HorizonPlanner &planner() const { return *planner_; }
-    /**
-     * Earliest committed discrete state change at or after now (armed
-     * Ticker groups + PMU/PDN deadlines); kTimeNever when quiescent.
-     */
-    Time nextInterestingTime() const
-    {
-        return planner_->nextInterestingTime();
-    }
     const ChipConfig &config() const { return cfg_; }
     ///@}
 
@@ -111,10 +102,6 @@ class Chip : public ChipApi, public PmuHooks
     double tjCelsius();
     ///@}
 
-    /** Snapshot hooks (thermal node + cores; PMU has its own section). */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r, state::RestoreContext &ctx);
-
   private:
     /** Periodic Tj integration (thermal.sampleInterval > 0). */
     struct ThermalTick final : Clocked {
@@ -124,7 +111,6 @@ class Chip : public ChipApi, public PmuHooks
         {
             chip->thermal_.update(now, chip->powerWatts());
         }
-        const char *tickName() const override { return "thermal"; }
     };
 
     EventQueue &eq_;

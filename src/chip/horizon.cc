@@ -1,9 +1,5 @@
 #include "chip/horizon.hh"
 
-#include <algorithm>
-
-#include "pmu/central_pmu.hh"
-
 namespace ich
 {
 
@@ -17,12 +13,6 @@ HorizonPlanner::advance(Time until)
     else
         ++suppressions_;
     return fired;
-}
-
-Time
-HorizonPlanner::nextInterestingTime() const
-{
-    return std::min(ticker_.nextGroupDue(), pmu_.nextInterestingTime());
 }
 
 } // namespace ich

@@ -20,14 +20,6 @@
  * boundary. Those run through the normal Simulation dispatch loop, so
  * a skip is *suppressed* exactly when a discrete state change is due —
  * correctness never depends on the planner predicting deadlines.
- *
- * nextInterestingTime() is the matching introspection surface: the
- * earliest discrete state change any component has committed to,
- * aggregated from the per-component deadline queries (VoltageRegulator
- * ramp completion, Svid transaction completion, CentralPmu P-state /
- * upclock / decay deadlines) and the earliest armed Ticker rate group.
- * Tests and guardrails use it to prove the pump never fires past a
- * component deadline; the pump itself never reads it.
  */
 
 #ifndef ICH_CHIP_HORIZON_HH
@@ -41,17 +33,11 @@
 namespace ich
 {
 
-class CentralPmu;
-
-/** Drives the Ticker's inline fast-forward pump and aggregates the
- *  chip-wide "next interesting time". Owned by Chip. */
+/** Drives the Ticker's inline fast-forward pump. Owned by Chip. */
 class HorizonPlanner
 {
   public:
-    HorizonPlanner(Ticker &ticker, CentralPmu &pmu)
-        : ticker_(ticker), pmu_(pmu)
-    {
-    }
+    explicit HorizonPlanner(Ticker &ticker) : ticker_(ticker) {}
 
     HorizonPlanner(const HorizonPlanner &) = delete;
     HorizonPlanner &operator=(const HorizonPlanner &) = delete;
@@ -63,15 +49,7 @@ class HorizonPlanner
      */
     std::uint64_t advance(Time until);
 
-    /**
-     * Earliest committed discrete state change at or after now: min of
-     * the earliest armed Ticker group and the PMU/PDN deadlines.
-     * kTimeNever when the chip is fully quiescent.
-     */
-    Time nextInterestingTime() const;
-
-    /** @name Diagnostics (not serialized — the fast-forward and legacy
-     *  stepped paths must snapshot identically) */
+    /** @name Diagnostics */
     ///@{
     /** advance() calls that fired at least one group. */
     std::uint64_t spans() const { return spans_; }
@@ -83,7 +61,6 @@ class HorizonPlanner
 
   private:
     Ticker &ticker_;
-    CentralPmu &pmu_;
     std::uint64_t spans_ = 0;
     std::uint64_t fires_ = 0;
     std::uint64_t suppressions_ = 0;

@@ -44,8 +44,8 @@ class Simulation
      * every Ticker rate-group fire popped through the event queue —
      * instead of the chip's fast-forward pump (the default). The two
      * paths are bit-identical: same member ticks at the same
-     * timestamps, same event interleavings, same executedEvents(),
-     * same snapshot bytes. The stepped path survives as the
+     * timestamps, same event interleavings, same executedEvents().
+     * The stepped path survives as the
      * byte-identity oracle, same discipline as
      * HwThread::setLegacyChunkEvents().
      */

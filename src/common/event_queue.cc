@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "state/snapshot.hh"
-
 // Branch hints for the churn hot path. The slow arms (slab growth,
 // stale handles, tombstones surfacing, scheduling-into-the-past
 // throws) run orders of magnitude less often than the fast arms, so
@@ -246,46 +244,6 @@ EventQueue::runToCompletion(Time horizon)
     while (pruneHead() && heap_.front().when <= horizon)
         runOne();
     return now_;
-}
-
-bool
-EventQueue::pendingInfo(EventId id, Time &when, std::int32_t &priority,
-                        std::uint64_t &seq) const
-{
-    std::uint64_t slotPlus1 = id >> 32;
-    if (slotPlus1 == 0 || slotPlus1 > slabs_.size() * kSlabSize)
-        return false;
-    std::uint32_t slot = static_cast<std::uint32_t>(slotPlus1 - 1);
-    const Node &n = slabs_[slot / kSlabSize][slot % kSlabSize];
-    if (!n.live || n.gen != static_cast<std::uint32_t>(id))
-        return false;
-    assert(heapPos_[slot] < heap_.size() &&
-           heap_[heapPos_[slot]].slot == slot);
-    const HeapEntry &e = heap_[heapPos_[slot]];
-    when = e.when;
-    priority = e.priority;
-    seq = e.seq;
-    return true;
-}
-
-void
-EventQueue::saveState(state::SaveContext &ctx) const
-{
-    ctx.w().putU64(now_);
-    ctx.w().putU64(nextSeq_);
-    ctx.w().putU64(executed_);
-}
-
-void
-EventQueue::restoreState(state::SectionReader &r)
-{
-    // The queue may still hold events scheduled during construction of
-    // the fresh simulation (e.g. the PowerLimiter's first evaluation);
-    // their owners deschedule and re-arm them in their own
-    // restoreState(), so only the counters restore here.
-    now_ = r.getU64();
-    nextSeq_ = r.getU64();
-    executed_ = r.getU64();
 }
 
 void

@@ -31,7 +31,6 @@
 
 #include "common/inline_fn.hh"
 #include "common/types.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -170,8 +169,8 @@ class EventQueue
      * and count it as executed, without touching the heap. The inline
      * fire path (Ticker::fastForward) runs the head event's work
      * directly and retargets its heap entry via reschedule(), so this
-     * keeps now()/executedEvents() — and therefore snapshot bytes —
-     * identical to the popped dispatch path.
+     * keeps now()/executedEvents() identical to the popped dispatch
+     * path.
      */
     void creditInlineEvent(Time when);
 
@@ -195,22 +194,6 @@ class EventQueue
 
     /** Slots currently held by the pool (capacity diagnostic). */
     std::size_t poolCapacity() const { return slabs_.size() * kSlabSize; }
-
-    /**
-     * Look up a pending event's schedule parameters (used by component
-     * saveState() to record re-armable events). Returns false for
-     * invalid/stale/fired handles. O(1) via the slot's heap position.
-     */
-    bool pendingInfo(EventId id, Time &when, std::int32_t &priority,
-                     std::uint64_t &seq) const;
-
-    /**
-     * Snapshot hooks: only the clock, insertion-sequence counter and
-     * executed count serialize — pending events are owned and re-armed
-     * by their components (see state/snapshot.hh).
-     */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r);
 
   private:
     static constexpr std::uint32_t kSlabSize = 256;
@@ -277,7 +260,7 @@ class EventQueue
      * Heap index of each slot's entry, maintained by every sift move. A
      * slot owns at most one heap entry (tombstoned entries keep their
      * slot until they surface), so the position is unique; it enables
-     * O(log n) reschedule() and O(1) pendingInfo(). Kept as a dense
+     * O(log n) reschedule(). Kept as a dense
      * side array (one word per slot, grown with the pool) so the
      * per-move update stays in cache instead of touching each displaced
      * entry's pooled Node.

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "state/snapshot.hh"
 
 namespace ich
 {
@@ -66,23 +63,6 @@ Rng
 Rng::fork()
 {
     return Rng(engine_());
-}
-
-void
-Rng::saveState(state::SaveContext &ctx) const
-{
-    std::ostringstream os;
-    os << engine_;
-    ctx.w().putString(os.str());
-}
-
-void
-Rng::restoreState(state::SectionReader &r)
-{
-    std::istringstream is(r.getString());
-    is >> engine_;
-    if (is.fail())
-        throw state::ArchiveError("Rng: malformed engine state");
 }
 
 } // namespace ich

@@ -14,7 +14,6 @@
 #include <random>
 
 #include "common/types.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -57,14 +56,6 @@ class Rng
 
     /** Fork an independent sub-stream (for per-component determinism). */
     Rng fork();
-
-    /**
-     * Snapshot hooks: the mt19937_64 engine serializes via its standard
-     * stream representation, so a restored Rng continues the exact
-     * sample stream of the saved one.
-     */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r);
 
   private:
     std::mt19937_64 engine_;

@@ -1,9 +1,6 @@
 #include "common/ticker.hh"
 
 #include <stdexcept>
-#include <string>
-
-#include "state/snapshot.hh"
 
 namespace ich
 {
@@ -39,13 +36,13 @@ Ticker::groupFor(TickRate rate)
 }
 
 void
-Ticker::add(Clocked &c, TickRate rate, Ownership own)
+Ticker::add(Clocked &c, TickRate rate)
 {
     if (rate.period == 0)
         throw std::invalid_argument("Ticker: zero tick period");
     Group &g = groupFor(rate);
     bool was_idle = g.event == EventQueue::kInvalidEvent;
-    g.members.push_back(Member{&c, own, firstDueAfter(rate, eq_.now())});
+    g.members.push_back(Member{&c, firstDueAfter(rate, eq_.now())});
     // An idle group arms on its first member; while the group is
     // dispatching, fireGroup() re-arms after the pass instead.
     if (was_idle && !g.dispatching) {
@@ -71,8 +68,6 @@ Ticker::remove(Clocked &c)
                 if (g.members.empty()) {
                     if (g.event != EventQueue::kInvalidEvent)
                         eq_.deschedule(g.event);
-                    // Drop the group: lingering empty groups would
-                    // desync the save/restore group-count match.
                     pruneGroup(&g);
                 }
             }
@@ -232,16 +227,6 @@ Ticker::fastForward(Time until)
     return fires;
 }
 
-Time
-Ticker::nextGroupDue() const
-{
-    Time best = ~Time{0};
-    for (const auto &g : groups_)
-        if (g->event != EventQueue::kInvalidEvent && g->nextDue < best)
-            best = g->nextDue;
-    return best;
-}
-
 void
 Ticker::pruneGroup(Group *g)
 {
@@ -251,73 +236,6 @@ Ticker::pruneGroup(Group *g)
             groups_.erase(it);
             return;
         }
-    }
-}
-
-void
-Ticker::saveState(state::SaveContext &ctx) const
-{
-    state::ArchiveWriter &w = ctx.w();
-    w.putU64(ticks_);
-    w.putU32(static_cast<std::uint32_t>(groups_.size()));
-    for (const auto &gp : groups_) {
-        const Group &g = *gp;
-        std::uint32_t live = 0;
-        for (const Member &m : g.members) {
-            if (m.clocked == nullptr)
-                continue;
-            if (m.own == Ownership::kTransient)
-                throw state::ArchiveError(
-                    "Ticker: transient member '" +
-                    std::string(m.clocked->tickName()) +
-                    "' still registered — detach samplers before "
-                    "snapshotting");
-            ++live;
-        }
-        w.putU64(g.rate.period);
-        w.putU64(g.rate.phase);
-        w.putI32(g.rate.priority);
-        w.putU32(live);
-        w.putU64(g.nextDue);
-        ctx.putEvent(g.event);
-    }
-}
-
-void
-Ticker::restoreState(state::SectionReader &r, state::RestoreContext &ctx)
-{
-    ticks_ = r.getU64();
-    if (r.getU32() != groups_.size())
-        throw state::ArchiveError(
-            "Ticker: rate-group count mismatch — persistent members must "
-            "re-register at construction");
-    for (auto &gp : groups_) {
-        Group &g = *gp;
-        TickRate rate;
-        rate.period = r.getU64();
-        rate.phase = r.getU64();
-        rate.priority = r.getI32();
-        if (!(rate == g.rate))
-            throw state::ArchiveError("Ticker: rate-group key mismatch");
-        if (r.getU32() != g.members.size())
-            throw state::ArchiveError(
-                "Ticker: member count mismatch in a rate group");
-        g.nextDue = r.getU64();
-        // Drop the event armed during construction; the saved group
-        // clock re-arms at its original absolute time (deferred and
-        // sequence-ordered by the RestoreContext).
-        if (g.event != EventQueue::kInvalidEvent) {
-            eq_.deschedule(g.event);
-            g.event = EventQueue::kInvalidEvent;
-        }
-        Group *raw = &g;
-        ctx.getEvent(r, [this, raw](EventQueue &eq, Time when,
-                                    int priority) {
-            raw->nextDue = when;
-            raw->event = eq.schedule(
-                when, [this, raw] { fireGroup(*raw); }, priority);
-            pumpIndexDirty_ = true;
-        });
     }
 }
 

@@ -23,14 +23,6 @@
  * group is ticking (itself included) is skipped for the rest of the
  * pass.
  *
- * Snapshots: group clocks (next-due time plus the pending group event)
- * are part of the state/ quiesce contract. Members registered as
- * kPersistent must re-register during construction in the same order
- * (component construction is config-deterministic), and the group then
- * re-arms at its saved absolute time. kTransient members (samplers such
- * as Daq) must be removed before snapshotting — saveState() throws
- * otherwise, mirroring the event census's loud-failure rule.
- *
  * This header also provides CoalescedTimer, the companion pattern for
  * *aperiodic* decay/hysteresis deadlines (guardband reset-time): keep
  * at most one pending event and never deschedule on deadline extension;
@@ -48,7 +40,6 @@
 
 #include "common/event_queue.hh"
 #include "common/types.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -76,9 +67,6 @@ class Clocked
 
     /** Called once per period of the registered rate. */
     virtual void tick(Time now) = 0;
-
-    /** Diagnostic name (snapshot errors, tests). */
-    virtual const char *tickName() const { return "clocked"; }
 };
 
 /**
@@ -88,12 +76,6 @@ class Clocked
 class Ticker
 {
   public:
-    /** How a member relates to the snapshot contract (see file header). */
-    enum class Ownership {
-        kPersistent, ///< re-registered at construction; part of snapshots
-        kTransient,  ///< must be removed before snapshotting
-    };
-
     explicit Ticker(EventQueue &eq) : eq_(eq) {}
 
     /** Deschedules every group event — none may outlive the Ticker. */
@@ -110,8 +92,7 @@ class Ticker
      * strictly after now(). Members registered while their group is
      * dispatching first tick on the next period.
      */
-    void add(Clocked &c, TickRate rate,
-             Ownership own = Ownership::kPersistent);
+    void add(Clocked &c, TickRate rate);
 
     /** Unregister @p c (first matching registration; no-op if absent). */
     void remove(Clocked &c);
@@ -137,9 +118,9 @@ class Ticker
      * group's pending event is retargeted via reschedule(), which burns
      * exactly the insertion sequence armGroup()'s schedule() would, so
      * events scheduled by members interleave identically with the
-     * stepped path (ties included) and executedEvents()/snapshot bytes
-     * are unchanged. Any non-tick event at the head stops the pump and
-     * surfaces to the caller's normal dispatch loop — that is how VR
+     * stepped path (ties included) and executedEvents() is unchanged.
+     * Any non-tick event at the head stops the pump and surfaces to
+     * the caller's normal dispatch loop — that is how VR
      * ramp completions, SVID transactions, p-state transitions and
      * thread chunk boundaries suppress skipping.
      *
@@ -147,26 +128,12 @@ class Ticker
      */
     std::uint64_t fastForward(Time until);
 
-    /** Total inline group fires performed by fastForward() (stats; not
-     *  serialized — legacy and fast-forward runs snapshot identically). */
+    /** Total inline group fires performed by fastForward() (stats). */
     std::uint64_t ffFires() const { return ffFires_; }
-
-    /** Earliest armed group due time, or ~Time{0} with no armed group. */
-    Time nextGroupDue() const;
-
-    /**
-     * Snapshot hooks. Group clocks re-arm at their saved absolute times;
-     * persistent members must already have re-registered (construction
-     * order is config-deterministic). Throws while a transient member is
-     * still registered.
-     */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r, state::RestoreContext &ctx);
 
   private:
     struct Member {
         Clocked *clocked = nullptr; ///< null = removed during dispatch
-        Ownership own = Ownership::kPersistent;
         /**
          * Earliest grid point strictly after registration. Guards the
          * strictly-after-now contract when a member joins an existing
@@ -271,12 +238,6 @@ class CoalescedTimer
         eq.deschedule(event_);
         event_ = EventQueue::kInvalidEvent;
     }
-
-    /** Raw handle (snapshot putEvent / tests). */
-    EventId id() const { return event_; }
-
-    /** Adopt a handle re-armed by a snapshot restore. */
-    void adopt(EventId id) { event_ = id; }
 
   private:
     EventId event_ = EventQueue::kInvalidEvent;

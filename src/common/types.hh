@@ -26,14 +26,6 @@ using Cycles = std::uint64_t;
 using CoreId = int;
 using ThreadId = int;
 
-/**
- * "Never" sentinel for absolute-time queries (the value
- * EventQueue::nextEventTime() returns on an empty queue, and what the
- * fast-forward nextInterestingTime() queries return for a component
- * with no committed deadline). Safe to min() against real times.
- */
-constexpr Time kTimeNever = ~Time{0};
-
 namespace time_literals
 {
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "isa/inst_class.hh"
-#include "state/snapshot.hh"
 
 namespace ich
 {
@@ -55,24 +54,6 @@ Core::activity() const
     if (act.active)
         act.cdynNf = cfg_.cdynBaseNf + max_delta;
     return act;
-}
-
-void
-Core::saveState(state::SaveContext &ctx) const
-{
-    throttle_.saveState(ctx);
-    avxGate_.saveState(ctx);
-    for (const auto &t : threads_)
-        t->saveState(ctx);
-}
-
-void
-Core::restoreState(state::SectionReader &r, state::RestoreContext &ctx)
-{
-    throttle_.restoreState(r);
-    avxGate_.restoreState(r);
-    for (auto &t : threads_)
-        t->restoreState(r, ctx);
 }
 
 } // namespace ich

@@ -17,7 +17,6 @@
 #include "cpu/throttle_unit.hh"
 #include "pdn/power_gate.hh"
 #include "pmu/limits.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -79,10 +78,6 @@ class Core
     CoreActivity activity() const;
 
     double leakageAmps() const { return cfg_.leakageAmps; }
-
-    /** Snapshot hooks (throttle unit, AVX gate, threads). */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r, state::RestoreContext &ctx);
 
   private:
     ChipApi &chip_;

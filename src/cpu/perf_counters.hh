@@ -13,12 +13,10 @@
 
 #include <cstdint>
 
-#include "state/fwd.hh"
-
 namespace ich
 {
 
-/** Snapshot-able counter block for one hardware thread. */
+/** Counter block for one hardware thread. */
 class PerfCounters
 {
   public:
@@ -79,10 +77,6 @@ class PerfCounters
     {
         clkUnhalted_ = instRetired_ = idqNotDelivered_ = 0.0;
     }
-
-    /** Snapshot hooks (fractional accumulators, bit-exact). */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r);
 
   private:
     double clkUnhalted_ = 0.0;

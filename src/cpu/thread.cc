@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "cpu/core.hh"
-#include "state/snapshot.hh"
 
 namespace ich
 {
@@ -579,55 +578,6 @@ HwThread::refresh()
     } while (pendingRefresh_);
     scheduleBoundary();
     inRefresh_ = false;
-}
-
-void
-HwThread::saveState(state::SaveContext &ctx) const
-{
-    if (started_ && !done_)
-        throw state::ArchiveError(
-            "HwThread: snapshot while a program is executing (core " +
-            std::to_string(coreId_) + " smt " + std::to_string(smtIdx_) +
-            ") — quiesce first");
-    // An idle thread has no deferred chunk records by construction (the
-    // completion event materialized them); the quiesce contract for the
-    // analytic path is exactly the existing idle requirement.
-    state::ArchiveWriter &w = ctx.w();
-    w.putBool(started_);
-    w.putBool(done_);
-    w.putU64(lastAccrue_);
-    w.putU64(stallUntil_);
-    counters_.saveState(ctx);
-    w.putU64(records_.size());
-    for (const Record &rec : records_) {
-        w.putI32(rec.tag);
-        w.putU64(rec.tsc);
-        w.putU64(rec.time);
-        w.putU64(rec.iterationsDone);
-    }
-}
-
-void
-HwThread::restoreState(state::SectionReader &r, state::RestoreContext &)
-{
-    started_ = r.getBool();
-    done_ = r.getBool();
-    lastAccrue_ = r.getU64();
-    stallUntil_ = r.getU64();
-    counters_.restoreState(r);
-    records_.clear();
-    std::uint64_t n = r.getU64();
-    records_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Record rec;
-        rec.tag = r.getI32();
-        rec.tsc = r.getU64();
-        rec.time = r.getU64();
-        rec.iterationsDone = r.getU64();
-        records_.push_back(rec);
-    }
-    // The saved thread was idle, so it owned no boundary event and the
-    // fresh object's defaults (empty program, step 0) already match.
 }
 
 void

@@ -38,7 +38,6 @@
 #include "cpu/chip_api.hh"
 #include "cpu/perf_counters.hh"
 #include "isa/program.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -127,20 +126,6 @@ class HwThread
     /** Completed iterations of the current loop step (tests); flushed
      *  like records(). */
     double loopIterationsDone() const;
-
-    /**
-     * Snapshot hooks. Programs contain closures (CallStep) and so are
-     * never serialized: a thread must be idle (done or not started) at
-     * the quiesce point; saveState() throws otherwise. Analytic record
-     * materialization joins the same contract: an idle thread has, by
-     * construction, no deferred records (the completion event flushed
-     * them), which saveState() re-checks loudly. Counters, records and
-     * accrual marks round-trip bit-exactly, and the restored thread
-     * accepts a fresh setProgram()/start() exactly like the original
-     * would.
-     */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r, state::RestoreContext &ctx);
 
   private:
     Core &core_;

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "state/snapshot.hh"
-
 namespace ich
 {
 
@@ -71,26 +69,6 @@ ThrottleUnit::notDeliveredFraction(int thread, InstClass cls) const
     if (!appliesTo(thread, cls))
         return 0.0;
     return static_cast<double>(cfg_.windowCycles - 1) / cfg_.windowCycles;
-}
-
-void
-ThrottleUnit::saveState(state::SaveContext &ctx) const
-{
-    for (int i = 0; i < kNumThrottleReasons; ++i) {
-        ctx.w().putI32(counts_[i]);
-        ctx.w().putI32(initiators_[i]);
-    }
-    ctx.w().putU64(asserts_);
-}
-
-void
-ThrottleUnit::restoreState(state::SectionReader &r)
-{
-    for (int i = 0; i < kNumThrottleReasons; ++i) {
-        counts_[i] = r.getI32();
-        initiators_[i] = r.getI32();
-    }
-    asserts_ = r.getU64();
 }
 
 } // namespace ich

@@ -20,7 +20,6 @@
 
 #include "common/types.hh"
 #include "isa/inst_class.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -87,10 +86,6 @@ class ThrottleUnit
 
     /** Total assert events (stats/tests). */
     std::uint64_t assertCount() const { return asserts_; }
-
-    /** Snapshot hooks (assertion counts + stats). */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r);
 
   private:
     ThrottleConfig cfg_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "chip/chip.hh"
-#include "state/archive.hh"
-#include "state/snapshot.hh"
 
 namespace ich
 {
@@ -45,33 +43,6 @@ CusumDetector::observe(Time now)
         sPos_ = 0.0;
         sNeg_ = 0.0;
     }
-}
-
-void
-CusumDetector::saveState(state::SaveContext &ctx) const
-{
-    Detector::saveState(ctx);
-    state::ArchiveWriter &w = ctx.w();
-    w.putI32(warmupLeft_);
-    w.putF64(warmupSum_);
-    w.putF64(mu0_);
-    w.putF64(sPos_);
-    w.putF64(sNeg_);
-    w.putF64(freePos_);
-    w.putF64(freeNeg_);
-}
-
-void
-CusumDetector::restoreState(state::SectionReader &r)
-{
-    Detector::restoreState(r);
-    warmupLeft_ = r.getI32();
-    warmupSum_ = r.getF64();
-    mu0_ = r.getF64();
-    sPos_ = r.getF64();
-    sNeg_ = r.getF64();
-    freePos_ = r.getF64();
-    freeNeg_ = r.getF64();
 }
 
 } // namespace detect

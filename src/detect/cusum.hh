@@ -36,9 +36,6 @@ class CusumDetector final : public Detector
     double baselineWatts() const { return mu0_; }
     bool warmedUp() const { return warmupLeft_ == 0; }
 
-    void saveState(state::SaveContext &ctx) const override;
-    void restoreState(state::SectionReader &r) override;
-
   protected:
     void observe(Time now) override;
 

@@ -5,40 +5,16 @@
 #include "detect/duty.hh"
 #include "detect/sketch.hh"
 #include "measure/daq.hh"
-#include "state/archive.hh"
-#include "state/snapshot.hh"
 
 namespace ich
 {
 namespace detect
 {
 
-void
-Detector::saveState(state::SaveContext &ctx) const
-{
-    state::ArchiveWriter &w = ctx.w();
-    w.putU64(samples_);
-    w.putU64(alarms_);
-    w.putU64(firstAlarm_);
-    w.putF64(peakScore_);
-    w.putBool(wasAbove_);
-}
-
-void
-Detector::restoreState(state::SectionReader &r)
-{
-    samples_ = r.getU64();
-    alarms_ = r.getU64();
-    firstAlarm_ = r.getU64();
-    peakScore_ = r.getF64();
-    wasAbove_ = r.getBool();
-}
-
 DetectorBank::DetectorBank(Chip &chip, const DetectConfig &cfg)
     : chip_(chip), cfg_(cfg)
 {
-    // Fixed construction order — the Ticker's persistent-member
-    // contract requires a restoring bank to re-register identically.
+    // Fixed construction order: detectors tick in registration order.
     if (cfg_.enableSketch)
         detectors_.push_back(std::make_unique<SketchDetector>(
             chip, cfg_.sketch, cfg_.tickInterval));
@@ -50,7 +26,7 @@ DetectorBank::DetectorBank(Chip &chip, const DetectConfig &cfg)
             std::make_unique<DutyCycleDetector>(chip, cfg_.duty));
     TickRate rate{cfg_.tickInterval, 0, cfg_.tickPriority};
     for (auto &d : detectors_)
-        chip.ticker().add(*d, rate, Ticker::Ownership::kPersistent);
+        chip.ticker().add(*d, rate);
 }
 
 DetectorBank::~DetectorBank()
@@ -92,33 +68,6 @@ DetectorBank::addDaqChannels(Daq &daq) const
         Detector *dp = d.get();
         daq.addChannel(std::string("det_") + d->name() + "_stat",
                        [dp]() { return dp->statistic(); });
-    }
-}
-
-void
-DetectorBank::saveSections(state::ArchiveWriter &w,
-                           state::SaveContext &ctx) const
-{
-    for (const auto &d : detectors_) {
-        w.beginSection(std::string("detect.") + d->name());
-        d->saveState(ctx);
-        w.endSection();
-    }
-}
-
-void
-DetectorBank::restoreSections(state::ArchiveReader &ar,
-                              state::RestoreContext &ctx)
-{
-    (void)ctx; // detectors own no events — ticks live in the Ticker
-    for (auto &d : detectors_) {
-        state::SectionReader r =
-            ar.open(std::string("detect.") + d->name());
-        d->restoreState(r);
-        if (r.remaining() != 0)
-            throw state::ArchiveError(
-                std::string("detect.") + d->name() +
-                ": trailing bytes after restore");
     }
 }
 

@@ -18,9 +18,6 @@
  *    sampling) derives it from its own config seed. Attaching a
  *    detector never changes channel physics: ticks only *read* chip
  *    state, so BER/TP metrics are identical with and without the bank.
- *  - Snapshot-composable: full saveState()/restoreState(), so a bank
- *    attached before a warm-fork snapshot restores bit-exactly in
- *    every forked trial (and across --jobs N).
  *
  * Two outputs per detector:
  *
@@ -43,14 +40,12 @@
 #include "common/ticker.hh"
 #include "common/types.hh"
 #include "exp/scenario.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
 
 class Chip;
 class Daq;
-class Simulation;
 
 namespace detect
 {
@@ -146,12 +141,7 @@ class Detector : public Clocked
         ++samples_;
         observe(now);
     }
-    const char *tickName() const override { return name(); }
     ///@}
-
-    /** Serialize counters (no events owned — ticks live in the Ticker). */
-    virtual void saveState(state::SaveContext &ctx) const;
-    virtual void restoreState(state::SectionReader &r);
 
   protected:
     /** One observation at @p now (read-only chip access). */
@@ -195,10 +185,7 @@ class Detector : public Clocked
  * Owns one set of detectors and their shared Ticker registration.
  *
  * The bank registers every enabled detector with the chip's Ticker as
- * kPersistent members of one rate group, in a fixed order — so a bank
- * constructed with the same config on a restored Simulation satisfies
- * the Ticker's persistent-member contract and the whole arrangement
- * composes with warm-fork snapshots.
+ * members of one rate group, in a fixed order.
  */
 class DetectorBank
 {
@@ -230,17 +217,6 @@ class DetectorBank
 
     /** Register one Daq channel per detector ("det_<name>_stat"). */
     void addDaqChannels(Daq &daq) const;
-
-    /**
-     * Extra-section snapshot hooks (state::snapshot/restore): one
-     * "detect.<name>" section per detector. The restoring bank must be
-     * constructed with an identical config, attached before the core
-     * sections restore (RestoreHooks::attach).
-     */
-    void saveSections(state::ArchiveWriter &w,
-                      state::SaveContext &ctx) const;
-    void restoreSections(state::ArchiveReader &ar,
-                         state::RestoreContext &ctx);
 
   private:
     Chip &chip_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "chip/chip.hh"
-#include "state/archive.hh"
-#include "state/snapshot.hh"
 
 namespace ich
 {
@@ -38,35 +36,6 @@ DutyCycleDetector::observe(Time now)
     windowFill_ = 0;
     notePeak(lastResidency_);
     noteAlarmLevel(lastResidency_ >= params_.threshold, now);
-}
-
-void
-DutyCycleDetector::saveState(state::SaveContext &ctx) const
-{
-    Detector::saveState(ctx);
-    state::ArchiveWriter &w = ctx.w();
-    w.putU32(static_cast<std::uint32_t>(throttledTicks_.size()));
-    for (std::uint32_t t : throttledTicks_)
-        w.putU32(t);
-    for (std::uint64_t a : lastAsserts_)
-        w.putU64(a);
-    w.putI32(windowFill_);
-    w.putF64(lastResidency_);
-}
-
-void
-DutyCycleDetector::restoreState(state::SectionReader &r)
-{
-    Detector::restoreState(r);
-    if (r.getU32() != throttledTicks_.size())
-        throw state::ArchiveError(
-            "DutyCycleDetector: core count mismatch");
-    for (std::uint32_t &t : throttledTicks_)
-        t = r.getU32();
-    for (std::uint64_t &a : lastAsserts_)
-        a = r.getU64();
-    windowFill_ = r.getI32();
-    lastResidency_ = r.getF64();
 }
 
 } // namespace detect

@@ -37,9 +37,6 @@ class DutyCycleDetector final : public Detector
     /** Worst per-core residency of the latest completed window. */
     double statistic() const override { return lastResidency_; }
 
-    void saveState(state::SaveContext &ctx) const override;
-    void restoreState(state::SectionReader &r) override;
-
   protected:
     void observe(Time now) override;
 

@@ -3,8 +3,6 @@
 #include <stdexcept>
 
 #include "chip/chip.hh"
-#include "state/archive.hh"
-#include "state/snapshot.hh"
 
 namespace ich
 {
@@ -95,32 +93,6 @@ CountMinSketch::reset()
     rngState_ = mix64(seed_ ^ 0xA11CE5ULL);
 }
 
-void
-CountMinSketch::saveState(state::SaveContext &ctx) const
-{
-    state::ArchiveWriter &w = ctx.w();
-    w.putU32(static_cast<std::uint32_t>(counters_.size()));
-    for (double c : counters_)
-        w.putF64(c);
-    w.putF64(total_);
-    w.putU64(updates_);
-    w.putU64(rngState_);
-}
-
-void
-CountMinSketch::restoreState(state::SectionReader &r)
-{
-    if (r.getU32() != counters_.size())
-        throw state::ArchiveError(
-            "CountMinSketch: dimension mismatch — the restoring bank "
-            "must be constructed with the saved config");
-    for (double &c : counters_)
-        c = r.getF64();
-    total_ = r.getF64();
-    updates_ = r.getU64();
-    rngState_ = r.getU64();
-}
-
 // ------------------------------------------------------ SketchDetector
 
 SketchDetector::SketchDetector(Chip &chip, const SketchParams &p,
@@ -191,41 +163,6 @@ SketchDetector::observe(Time now)
     double s = statistic();
     notePeak(s);
     noteAlarmLevel(s >= params_.threshold, now);
-}
-
-void
-SketchDetector::saveState(state::SaveContext &ctx) const
-{
-    Detector::saveState(ctx);
-    state::ArchiveWriter &w = ctx.w();
-    sketch_.saveState(ctx);
-    w.putU32(static_cast<std::uint32_t>(lastAsserts_.size()));
-    for (std::size_t c = 0; c < lastAsserts_.size(); ++c) {
-        w.putU64(lastAsserts_[c]);
-        w.putU64(lastActive_[c]);
-    }
-    w.putU64(lastPstates_);
-    w.putU64(lastPstateActive_);
-    w.putF64(heavyEstimate_);
-    w.putU64(heavyKey_);
-}
-
-void
-SketchDetector::restoreState(state::SectionReader &r)
-{
-    Detector::restoreState(r);
-    sketch_.restoreState(r);
-    if (r.getU32() != lastAsserts_.size())
-        throw state::ArchiveError(
-            "SketchDetector: core count mismatch");
-    for (std::size_t c = 0; c < lastAsserts_.size(); ++c) {
-        lastAsserts_[c] = r.getU64();
-        lastActive_[c] = r.getU64();
-    }
-    lastPstates_ = r.getU64();
-    lastPstateActive_ = r.getU64();
-    heavyEstimate_ = r.getF64();
-    heavyKey_ = r.getU64();
 }
 
 } // namespace detect

@@ -55,9 +55,6 @@ class CountMinSketch
 
     void reset();
 
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r);
-
   private:
     int depth_;
     int width_;
@@ -88,9 +85,6 @@ class SketchDetector final : public Detector
     const CountMinSketch &sketch() const { return sketch_; }
     /** Heaviest (core, gap-bucket) key observed (diagnostics). */
     std::uint64_t heavyKey() const { return heavyKey_; }
-
-    void saveState(state::SaveContext &ctx) const override;
-    void restoreState(state::SectionReader &r) override;
 
   protected:
     void observe(Time now) override;

@@ -66,7 +66,7 @@ struct SweepResult {
      *  reports stay byte-identical across worker counts / machines. */
     int jobs = 1;
     double wallSeconds = 0.0;
-    /** Points prefilled from a resume manifest instead of re-run. */
+    /** Points prefilled from a resume store instead of re-run. */
     std::size_t resumedPoints = 0;
 
     /**

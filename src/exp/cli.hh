@@ -10,9 +10,9 @@
  *   --json        write <scenario>.json into the results directory
  *   --csv         write <scenario>.csv into the results directory
  *   --out DIR     results directory (default "results"; implies files)
- *   --resume      resumable sweep: checkpoint completed points (and
- *                 warm snapshots) into the results directory, and skip
- *                 points a previous interrupted run already finished
+ *   --resume      resumable sweep: checkpoint completed points into
+ *                 the results directory, and skip points a previous
+ *                 interrupted run already finished
  *   --stream      memory-bounded result path: spill trial records to
  *                 the columnar store in the results directory and
  *                 aggregate points as they complete, instead of

@@ -125,17 +125,18 @@ class Cursor
 
 // --------------------------------------------------- header chunk I/O
 
+/** The header chunk: format version and the sweep's identity. */
 Buffer
-encodeHeader(const StoreHeader &hdr)
+encodeHeader(const SweepMeta &meta)
 {
     Buffer body;
     put32(body, kColFormatVersion);
-    putString(body, hdr.scenario);
-    putString(body, hdr.description);
-    put64(body, hdr.baseSeed);
-    put32(body, static_cast<std::uint32_t>(hdr.trialsPerPoint));
-    put64(body, hdr.numPoints);
-    put64(body, hdr.gridFp);
+    putString(body, meta.scenario);
+    putString(body, meta.description);
+    put64(body, meta.baseSeed);
+    put32(body, static_cast<std::uint32_t>(meta.trialsPerPoint));
+    put64(body, static_cast<std::uint64_t>(meta.points.size()));
+    put64(body, meta.gridFp);
     return body;
 }
 
@@ -393,7 +394,7 @@ ColumnStoreWriter::beginSweep(const SweepMeta &meta)
         flushedNames_ = 0;
         sawFooter_ = false;
         file_.create(path_, opts_.durable);
-        file_.append(kColChunkHeader, encodeHeader(storeHeader(meta)));
+        file_.append(kColChunkHeader, encodeHeader(meta));
     }
 }
 
@@ -421,13 +422,6 @@ ColumnStoreWriter::acceptPoint(std::size_t point_idx,
     // immediately in durable mode (fsync'd append == checkpoint).
     if (opts_.durable || pending_.size() >= opts_.chunkRecords)
         flushChunk();
-}
-
-void
-ColumnStoreWriter::sync()
-{
-    flushChunk();
-    file_.sync();
 }
 
 void
@@ -682,51 +676,6 @@ ColumnStoreReader::readPoint(std::size_t point_idx) const
                                 std::to_string(point_idx) +
                                 " is not in the store");
     return pointAt(it->second);
-}
-
-// ----------------------------------------------------- whole-store enc
-
-StoreHeader
-storeHeader(const SweepMeta &meta)
-{
-    StoreHeader hdr;
-    hdr.scenario = meta.scenario;
-    hdr.description = meta.description;
-    hdr.baseSeed = meta.baseSeed;
-    hdr.trialsPerPoint = meta.trialsPerPoint;
-    hdr.numPoints = static_cast<std::uint64_t>(meta.points.size());
-    hdr.gridFp = meta.gridFp;
-    return hdr;
-}
-
-state::Buffer
-encodeColumnStore(
-    const StoreHeader &header,
-    const std::map<std::size_t, std::vector<TrialRecord>> &points)
-{
-    Buffer out;
-    state::appendChunkFrame(out, kColChunkHeader, encodeHeader(header));
-
-    std::map<std::string, std::uint32_t> name_ids;
-    std::vector<std::string> names_in_order;
-    std::vector<Row> rows;
-    std::uint64_t n_records = 0;
-    for (const auto &kv : points) {
-        std::vector<Row> point_rows =
-            rowsFromRecords(name_ids, names_in_order, kv.first,
-                            kv.second.data(), kv.second.size());
-        n_records += point_rows.size();
-        for (Row &r : point_rows)
-            rows.push_back(std::move(r));
-    }
-    if (!rows.empty())
-        state::appendChunkFrame(out, kColChunkData,
-                                encodeDataChunk(names_in_order, 0, rows));
-    state::appendChunkFrame(
-        out, kColChunkFooter,
-        encodeFooter(n_records, points.size(),
-                     static_cast<std::uint32_t>(names_in_order.size())));
-    return out;
 }
 
 } // namespace exp

@@ -84,15 +84,6 @@ class ColumnStoreWriter final : public ResultSink
                      std::size_t count) override;
     void endSweep() override;
 
-    /**
-     * Flush buffered records and fsync the file now. The batch-durable
-     * middle ground: a non-durable writer that sync()s every few
-     * points pays one fsync per batch instead of per point, and a kill
-     * still loses at most the points since the last sync (torn final
-     * frames are dropped by readers as usual).
-     */
-    void sync();
-
     /** Points already present when beginSweep() adopted the file. */
     std::size_t adoptedPoints() const { return adoptedPoints_; }
 
@@ -216,31 +207,6 @@ class ColumnStoreReader
     const DecodedChunk &chunkAt(std::uint64_t offset) const;
     std::vector<TrialRecord> pointAt(const PointLoc &loc) const;
 };
-
-/**
- * Sweep identity without the expanded grid — what a store header
- * carries. SweepMeta converts down via storeHeader().
- */
-struct StoreHeader {
-    std::string scenario;
-    std::string description;
-    std::uint64_t baseSeed = 0;
-    int trialsPerPoint = 1;
-    std::uint64_t numPoints = 0;
-    std::uint64_t gridFp = 0;
-};
-
-StoreHeader storeHeader(const SweepMeta &meta);
-
-/**
- * Encode a whole store in one buffer (header + one data chunk + footer)
- * — the in-memory sibling of ColumnStoreWriter for atomic whole-file
- * rewrites (exp::writeManifest). @p points maps point index -> trial
- * records in trial order.
- */
-state::Buffer encodeColumnStore(
-    const StoreHeader &header,
-    const std::map<std::size_t, std::vector<TrialRecord>> &points);
 
 } // namespace exp
 } // namespace ich

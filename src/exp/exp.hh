@@ -9,7 +9,7 @@
  *  - colstore.hh   append-only columnar result store (spill + resume)
  *  - runner.hh     SweepRunner: worker-pool fan-out, deterministic seeds
  *  - aggregate.hh  per-point metric summaries + whole-sweep rollups
- *  - resume.hh     completed-points result store + warm-snapshot cache
+ *  - resume.hh     completed-points result store path + grid fingerprint
  *  - report.hh     text / JSON / CSV reporters (materialized or
  *                  store-backed)
  *  - cli.hh        shared harness flags (--jobs, --seed, --json, --out,

@@ -1,12 +1,7 @@
 #include "exp/resume.hh"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-
-#include "exp/colstore.hh"
-#include "state/archive.hh"
 
 namespace ich
 {
@@ -39,14 +34,6 @@ doubleBits(double v)
 }
 
 } // namespace
-
-bool
-ResumeManifest::matches(const ResumeManifest &other) const
-{
-    return scenario == other.scenario && baseSeed == other.baseSeed &&
-           trialsPerPoint == other.trialsPerPoint &&
-           numPoints == other.numPoints && gridFp == other.gridFp;
-}
 
 std::uint64_t
 gridFingerprint(const std::vector<ParamPoint> &points)
@@ -85,62 +72,6 @@ resultStorePath(const std::string &dir, const std::string &scenario)
 {
     return (std::filesystem::path(dir) / (scenario + ".colstore"))
         .string();
-}
-
-std::string
-warmSnapshotPath(const std::string &dir, const std::string &scenario,
-                 const std::string &key)
-{
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "%016" PRIx64, fnv1a(key));
-    return (std::filesystem::path(dir) /
-            (scenario + ".warm-" + hash + ".snap"))
-        .string();
-}
-
-bool
-loadManifest(const std::string &path, ResumeManifest &out)
-{
-    try {
-        ColumnStoreReader reader(path);
-        if (reader.trialsPerPoint() < 1)
-            return false;
-        ResumeManifest m;
-        m.scenario = reader.scenario();
-        m.baseSeed = reader.baseSeed();
-        m.trialsPerPoint = reader.trialsPerPoint();
-        m.numPoints = reader.numPoints();
-        m.gridFp = reader.gridFp();
-        reader.forEachPoint(
-            [&m](std::size_t idx,
-                 const std::vector<TrialRecord> &records) {
-                if (idx >= m.numPoints ||
-                    records.size() !=
-                        static_cast<std::size_t>(m.trialsPerPoint))
-                    throw state::ArchiveError(
-                        "colstore: point shape disagrees with the "
-                        "header");
-                m.points[idx] = records;
-            });
-        out = std::move(m);
-        return true;
-    } catch (const state::ArchiveError &) {
-        // Missing, corrupt, or not a column store: treat as absent.
-        return false;
-    }
-}
-
-void
-writeManifest(const std::string &path, const ResumeManifest &m)
-{
-    StoreHeader hdr;
-    hdr.scenario = m.scenario;
-    hdr.description = ""; // presentation only; matches() ignores it
-    hdr.baseSeed = m.baseSeed;
-    hdr.trialsPerPoint = m.trialsPerPoint;
-    hdr.numPoints = m.numPoints;
-    hdr.gridFp = m.gridFp;
-    state::atomicWriteFile(path, encodeColumnStore(hdr, m.points));
 }
 
 } // namespace exp

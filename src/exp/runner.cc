@@ -3,144 +3,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "exp/colstore.hh"
 #include "exp/resume.hh"
-#include "state/archive.hh"
 
 namespace ich
 {
 namespace exp
 {
-
-namespace
-{
-
-/**
- * Warm-state snapshot table: one buffer per unique warmup key, shared
- * by every trial of the points mapping to that key.
- */
-struct WarmTable {
-    std::vector<std::string> keys; ///< first-seen order
-    std::vector<state::Buffer> buffers;
-    std::vector<std::size_t> pointToKey; ///< point index -> keys index
-};
-
-/**
- * Group points by warmup key and materialize each key's snapshot,
- * skipping keys whose every point is already complete (@p point_done).
- * Cached `.snap` files are reused only when @p trust_cache — i.e. the
- * result directory's store matched this sweep, the sole witness that
- * the cache was produced by the same warmup; otherwise they are
- * recomputed and overwritten. Computation fans out on @p jobs workers:
- * warmups are independent by the determinism contract.
- */
-WarmTable
-buildWarmTable(const ScenarioSpec &spec,
-               const std::vector<ParamPoint> &points, int jobs,
-               const std::string &resume_dir, bool trust_cache,
-               const std::vector<char> &point_done)
-{
-    WarmTable table;
-    table.pointToKey.resize(points.size());
-    std::unordered_map<std::string, std::size_t> index;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        std::string key = spec.warmupKey ? spec.warmupKey(points[i])
-                                         : points[i].toString();
-        auto it = index.find(key);
-        if (it == index.end()) {
-            it = index.emplace(key, table.keys.size()).first;
-            table.keys.push_back(std::move(key));
-        }
-        table.pointToKey[i] = it->second;
-    }
-    table.buffers.resize(table.keys.size());
-
-    // Representative point per key (first point mapping to it), and
-    // whether any of the key's points still has trials to run — fully
-    // resumed keys never warm.
-    std::vector<std::size_t> rep(table.keys.size(), points.size());
-    std::vector<char> needed(table.keys.size(), 0);
-    for (std::size_t i = points.size(); i-- > 0;) {
-        rep[table.pointToKey[i]] = i;
-        if (!point_done[i])
-            needed[table.pointToKey[i]] = 1;
-    }
-
-    std::vector<char> have(table.keys.size(), 0);
-    if (!resume_dir.empty() && trust_cache) {
-        for (std::size_t k = 0; k < table.keys.size(); ++k) {
-            if (!needed[k])
-                continue;
-            std::string path =
-                warmSnapshotPath(resume_dir, spec.name, table.keys[k]);
-            try {
-                state::Buffer cached = state::readFile(path);
-                state::ArchiveReader validate(cached); // CRC/version
-                table.buffers[k] = std::move(cached);
-                have[k] = 1;
-            } catch (const state::ArchiveError &) {
-                // Missing or corrupt cache entry: recompute below.
-            }
-        }
-    }
-
-    std::atomic<std::size_t> cursor{0};
-    std::mutex error_mu;
-    std::string first_error;
-    auto worker = [&]() {
-        for (;;) {
-            std::size_t k = cursor.fetch_add(1);
-            if (k >= table.keys.size())
-                return;
-            if (have[k] || !needed[k])
-                continue;
-            try {
-                table.buffers[k] = spec.warmup(points[rep[k]]);
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(error_mu);
-                if (first_error.empty())
-                    first_error = e.what();
-            }
-        }
-    };
-    int n_workers = static_cast<int>(
-        std::min<std::size_t>(jobs, table.keys.size()));
-    if (n_workers <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(n_workers);
-        for (int i = 0; i < n_workers; ++i)
-            pool.emplace_back(worker);
-        for (auto &t : pool)
-            t.join();
-    }
-    if (!first_error.empty())
-        throw std::runtime_error("scenario '" + spec.name +
-                                 "': warmup failed: " + first_error);
-
-    if (!resume_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(resume_dir, ec);
-        for (std::size_t k = 0; k < table.keys.size(); ++k) {
-            if (have[k] || !needed[k])
-                continue;
-            state::atomicWriteFile(
-                warmSnapshotPath(resume_dir, spec.name, table.keys[k]),
-                table.buffers[k]);
-        }
-    }
-    return table;
-}
-
-} // namespace
 
 int
 resolveJobs(int jobs)
@@ -184,19 +58,15 @@ SweepRunner::runStreaming(const ScenarioSpec &spec, ResultSink &sink) const
     sink.beginSweep(meta);
 
     // Resume: replay points completed by a previous matching run into
-    // the sink (index order), before warmups so fully resumed warm
-    // groups are never re-simulated, and so the warm-snapshot cache is
-    // reused only when the store vouches for the result directory.
+    // the sink (index order).
     std::vector<char> point_done(n_points, 0);
     const bool resumable = !opts_.resumeDir.empty();
-    bool store_matched = false;
     std::string store_path;
     if (resumable) {
         store_path = resultStorePath(opts_.resumeDir, meta.scenario);
         try {
             ColumnStoreReader prior(store_path);
             if (prior.matches(meta)) {
-                store_matched = true;
                 prior.forEachPoint(
                     [&](std::size_t idx,
                         const std::vector<TrialRecord> &records) {
@@ -250,13 +120,6 @@ SweepRunner::runStreaming(const ScenarioSpec &spec, ResultSink &sink) const
         done_points += point_done[p] ? 1 : 0;
     const std::size_t pending_trials =
         (n_points - done_points) * trials_per_point;
-
-    // Warm-state forking: one warmup per unique key with pending work.
-    WarmTable warm;
-    if (spec.warmup && pending_trials > 0)
-        warm = buildWarmTable(spec, meta.points, stats.jobs,
-                              opts_.resumeDir, store_matched,
-                              point_done);
 
     // In-flight point buffers, allocated on first touch and released
     // the moment the point is handed to the sink. The outer vector is
@@ -318,11 +181,7 @@ SweepRunner::runStreaming(const ScenarioSpec &spec, ResultSink &sink) const
             rec.trial = static_cast<int>(idx % trials_per_point);
             rec.seed = deriveTrialSeed(meta.baseSeed, idx);
             TrialContext ctx{meta.points[point_idx], point_idx,
-                             rec.trial, rec.seed,
-                             spec.warmup
-                                 ? &warm.buffers[warm.pointToKey
-                                                     [point_idx]]
-                                 : nullptr};
+                             rec.trial, rec.seed};
             bool ok = true;
             try {
                 rec.metrics = spec.run(ctx);

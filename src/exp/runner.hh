@@ -49,10 +49,8 @@ struct RunnerOptions {
      * Resumable-sweep directory (empty: off). When set, the runner
      * (a) skips grid points recorded as complete in
      * `<dir>/<scenario>.colstore` from a previous matching run,
-     * (b) appends every completed point to that store durably
-     * (fsync'd CRC-framed chunks — O(1) per point),
-     * and (c) caches warm-state snapshots as `<scenario>.warm-*.snap`
-     * so a restart does not re-simulate warmup either. Results are
+     * and (b) appends every completed point to that store durably
+     * (fsync'd CRC-framed chunks — O(1) per point). Results are
      * byte-identical to an uninterrupted run (metrics round-trip as
      * raw IEEE-754 bits).
      */
@@ -68,11 +66,10 @@ class SweepRunner
     explicit SweepRunner(RunnerOptions opts = {});
 
     /**
-     * Expand the grid, compute warm-state snapshots (once per unique
-     * warmup key), run trials on the pool, and stream each completed
-     * point into @p sink (completion order; see exp/sink.hh for the
-     * contract). Memory stays O(open points), independent of grid
-     * size. Throws std::runtime_error carrying the first failing
+     * Expand the grid, run trials on the pool, and stream each
+     * completed point into @p sink (completion order; see exp/sink.hh
+     * for the contract). Memory stays O(open points), independent of
+     * grid size. Throws std::runtime_error carrying the first failing
      * trial's message if any trial threw — in that case endSweep() is
      * never called.
      */

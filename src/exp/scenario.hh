@@ -29,8 +29,7 @@ namespace exp
 /**
  * Intern @p s into the process-wide axis-string pool and return the
  * canonical copy. Pointer-stable for the life of the process;
- * thread-safe (interning is cold: grid expansion, store/manifest
- * decode).
+ * thread-safe (interning is cold: grid expansion, store decode).
  */
 const std::string &internString(const std::string &s);
 
@@ -159,14 +158,6 @@ struct TrialContext {
     std::size_t pointIndex = 0; ///< index into the expanded grid
     int trial = 0;              ///< 0..trials-1 within the point
     std::uint64_t seed = 0;     ///< derived from (baseSeed, global index)
-    /**
-     * Warm-state snapshot for this point (null when the scenario has no
-     * warmup). Trial functions fork their Simulation from it via
-     * state::restore() and then re-seed the fork's Rng with `seed`, so
-     * the per-trial seed contract — and with it --jobs byte-identity —
-     * is untouched by warm forking.
-     */
-    const std::vector<std::uint8_t> *warmSnapshot = nullptr;
 };
 
 /** Declarative description of one experiment sweep. */
@@ -178,22 +169,6 @@ struct ScenarioSpec {
     int trials = 1;               ///< seeded repetitions per grid point
     std::uint64_t baseSeed = 1;   ///< root of the per-trial seed schedule
     std::function<MetricMap(const TrialContext &)> run;
-
-    /**
-     * Optional warm-state forking (see state/snapshot.hh). When set,
-     * the runner calls warmup(point) once per unique warmupKey(point)
-     * — instead of once per *trial* — and hands the returned snapshot
-     * buffer to every trial of matching points via
-     * TrialContext::warmSnapshot. The function must be deterministic
-     * in the point alone (use a fixed internal seed: trials re-seed
-     * after forking), and must return a state::snapshot() archive.
-     */
-    std::function<std::vector<std::uint8_t>(const ParamPoint &)> warmup;
-    /**
-     * Groups points that share a warm state (default: every point is
-     * its own group). Return a constant to warm the whole grid once.
-     */
-    std::function<std::string(const ParamPoint &)> warmupKey;
 };
 
 /**

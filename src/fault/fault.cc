@@ -75,12 +75,12 @@ std::string
 parseOp(const std::string &name)
 {
     for (const char *op : {"open", "read", "write", "fsync", "truncate",
-                           "rename", "*"})
+                           "*"})
         if (name == op)
             return name;
     throw std::invalid_argument("fault plan: unknown op '" + name +
                                 "' (want open|read|write|fsync|"
-                                "truncate|rename|*)");
+                                "truncate|*)");
 }
 
 std::uint64_t

@@ -11,11 +11,10 @@
  *   spec   := [seed=S;] rule (';' rule)*
  *   rule   := site=SITE:op=OP:occ=N:fault=KIND[:arg=A][:path=SUB]
  *
- *   SITE   injection site tag ("chunk.write", "archive.write", ...
- *          or "*")
- *   OP     syscall class at the site: open|read|write|fsync|truncate|
- *          rename or "*"; anything else is rejected, because no call
- *          could ever match it
+ *   SITE   injection site tag ("chunk.write", "chunk.read" or "*")
+ *   OP     syscall class at the site: open|read|write|fsync|truncate
+ *          or "*"; anything else is rejected, because no call could
+ *          ever match it
  *   N      1-based Nth matching call fires the fault once; 0 = every
  *          matching call
  *   KIND   crash | eintr | enospc | eio | short | torn | bitflip |
@@ -26,8 +25,8 @@
  *   SUB    only fire when the target path contains SUB
  *
  * The injection points are the io::FileOps wrappers (io/fileops.hh) —
- * routed through by state/chunkio and state/archive, and therefore by
- * everything layered on them (exp/colstore, exp/resume).
+ * routed through by state/chunkio, and therefore by everything layered
+ * on it (exp/colstore, exp/resume).
  * With no plan armed every wrapper is a single predicted-not-taken
  * branch in front of the real syscall: the seam is free (BENCH floors
  * are unaffected).

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -59,23 +58,6 @@ open(const char *path, int flags, mode_t mode, const char *site)
       case Kind::kEio: return failWith(EIO);
       case Kind::kEintr: return failWith(EINTR);
       default: return ::open(path, flags, mode);
-    }
-}
-
-ssize_t
-read(int fd, void *buf, std::size_t count, const char *site,
-     const char *path)
-{
-    if (!fault::active())
-        return ::read(fd, buf, count);
-    Decision d;
-    if (!fault::decide(site, "read", path, d))
-        return ::read(fd, buf, count);
-    switch (d.kind) {
-      case Kind::kCrash: die();
-      case Kind::kEio: return failWith(EIO);
-      case Kind::kEintr: return failWith(EINTR);
-      default: return ::read(fd, buf, count);
     }
 }
 
@@ -189,22 +171,6 @@ ftruncate(int fd, off_t length, const char *site, const char *path)
       case Kind::kEio: return failWith(EIO);
       case Kind::kEintr: return failWith(EINTR);
       default: return ::ftruncate(fd, length);
-    }
-}
-
-int
-rename(const char *from, const char *to, const char *site)
-{
-    if (!fault::active())
-        return ::rename(from, to);
-    Decision d;
-    if (!fault::decide(site, "rename", from, d))
-        return ::rename(from, to);
-    switch (d.kind) {
-      case Kind::kCrash: die();
-      case Kind::kEio: return failWith(EIO);
-      case Kind::kEnospc: return failWith(ENOSPC);
-      default: return ::rename(from, to);
     }
 }
 

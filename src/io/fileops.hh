@@ -7,8 +7,6 @@
  *
  *   chunk.write    ChunkFileWriter (create/append/fsync/truncate)
  *   chunk.read     ChunkFileScanner (open/pread)
- *   archive.write  atomicWriteFile (open/write/fsync/rename)
- *   archive.read   readFile (open/read)
  *
  * With no fault plan armed (fault::active() false — the overwhelmingly
  * common case) every wrapper is one relaxed atomic load and a
@@ -35,15 +33,12 @@ namespace io
 {
 
 int open(const char *path, int flags, mode_t mode, const char *site);
-ssize_t read(int fd, void *buf, std::size_t count, const char *site,
-             const char *path);
 ssize_t pread(int fd, void *buf, std::size_t count, off_t offset,
               const char *site, const char *path);
 ssize_t write(int fd, const void *buf, std::size_t count,
               const char *site, const char *path);
 int fsync(int fd, const char *site, const char *path);
 int ftruncate(int fd, off_t length, const char *site, const char *path);
-int rename(const char *from, const char *to, const char *site);
 
 } // namespace io
 } // namespace ich

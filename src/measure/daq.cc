@@ -54,8 +54,7 @@ Daq::start(Time until)
         t->reserve(expect);
     sampleNow();
     // Phase-align the rate group so ticks land on t0 + k*interval.
-    ticker_.add(*this, TickRate{interval_, now % interval_, 0},
-                Ticker::Ownership::kTransient);
+    ticker_.add(*this, TickRate{interval_, now % interval_, 0});
 }
 
 void

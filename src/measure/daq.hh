@@ -5,10 +5,8 @@
  * for the NI-DAQ card + sense resistors of Fig. 5. Sampling rate is
  * configurable up to the NI-PCIe-6376's 3.5 MS/s.
  *
- * Sampling rides the shared Ticker as a *transient* member: one
- * rate-group event covers every channel (and any other component at the
- * same rate), and a Daq left attached at a snapshot point fails the
- * save loudly — samplers are measurement equipment, not chip state.
+ * Sampling rides the shared Ticker: one rate-group event covers every
+ * channel (and any other component at the same rate).
  */
 
 #ifndef ICH_MEASURE_DAQ_HH
@@ -53,7 +51,6 @@ class Daq : public Clocked
     /** @name Clocked */
     ///@{
     void tick(Time now) override;
-    const char *tickName() const override { return "daq"; }
     ///@}
 
   private:

@@ -1,114 +1,10 @@
 #include "measure/trace.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
-
-#include "state/chunkio.hh"
 
 namespace ich
 {
-
-namespace
-{
-
-/** Points per data frame: bounds transient decode memory. */
-constexpr std::size_t kTracePointsPerChunk = 65536;
-
-void
-put32(state::Buffer &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-put64(state::Buffer &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putString(state::Buffer &out, const std::string &s)
-{
-    put32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v), "double is 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-double
-bitsDouble(std::uint64_t bits)
-{
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-/** Bounds-checked little-endian reads over one chunk body. */
-class Cursor
-{
-  public:
-    explicit Cursor(const state::Buffer &b) : b_(b) {}
-
-    std::uint32_t u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(b_[off_ + i]) << (8 * i);
-        off_ += 4;
-        return v;
-    }
-
-    std::uint64_t u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(b_[off_ + i]) << (8 * i);
-        off_ += 8;
-        return v;
-    }
-
-    std::string str()
-    {
-        std::uint32_t n = u32();
-        need(n);
-        std::string s(b_.begin() + static_cast<std::ptrdiff_t>(off_),
-                      b_.begin() +
-                          static_cast<std::ptrdiff_t>(off_ + n));
-        off_ += n;
-        return s;
-    }
-
-    void expectEnd() const
-    {
-        if (off_ != b_.size())
-            throw state::ArchiveError(
-                "trace chunk: trailing bytes in body");
-    }
-
-  private:
-    const state::Buffer &b_;
-    std::size_t off_ = 0;
-
-    void need(std::size_t n) const
-    {
-        if (b_.size() - off_ < n)
-            throw state::ArchiveError("trace chunk: truncated body");
-    }
-};
-
-} // namespace
 
 double
 Trace::minValue() const
@@ -175,82 +71,6 @@ Trace::toRows(std::size_t max_rows) const
            << "\n";
     }
     return os.str();
-}
-
-void
-Trace::saveColumnar(const std::string &path) const
-{
-    state::ChunkFileWriter w;
-    w.create(path, /*durable=*/false);
-
-    state::Buffer header;
-    put32(header, kTraceFormatTag);
-    put32(header, 1); // format version
-    putString(header, name_);
-    put64(header, points_.size());
-    w.append(kTraceChunkHeader, header);
-
-    for (std::size_t base = 0; base < points_.size();
-         base += kTracePointsPerChunk) {
-        std::size_t n =
-            std::min(kTracePointsPerChunk, points_.size() - base);
-        state::Buffer body;
-        body.reserve(8 + 16 * n);
-        put64(body, n);
-        for (std::size_t i = 0; i < n; ++i)
-            put64(body, points_[base + i].time);
-        for (std::size_t i = 0; i < n; ++i)
-            put64(body, doubleBits(points_[base + i].value));
-        w.append(kTraceChunkData, body);
-    }
-    w.close();
-}
-
-Trace
-Trace::loadColumnar(const std::string &path)
-{
-    state::ChunkFileScanner scan(path);
-    state::ChunkFrame frame;
-
-    if (!scan.next(frame) || frame.kind != kTraceChunkHeader)
-        throw state::ArchiveError("trace file '" + path +
-                                  "': missing header chunk");
-    Cursor h(frame.body);
-    if (h.u32() != kTraceFormatTag)
-        throw state::ArchiveError("trace file '" + path +
-                                  "': not a columnar trace");
-    std::uint32_t version = h.u32();
-    if (version != 1)
-        throw state::ArchiveError("trace file '" + path +
-                                  "': unsupported version " +
-                                  std::to_string(version));
-    Trace t(h.str());
-    std::uint64_t declared = h.u64();
-    h.expectEnd();
-    t.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(declared, 1u << 20)));
-
-    while (scan.next(frame)) {
-        if (frame.kind == kTraceChunkHeader)
-            throw state::ArchiveError("trace file '" + path +
-                                      "': duplicate header chunk");
-        if (frame.kind != kTraceChunkData)
-            throw state::ArchiveError("trace file '" + path +
-                                      "': unknown chunk kind " +
-                                      std::to_string(frame.kind));
-        Cursor c(frame.body);
-        std::uint64_t n = c.u64();
-        std::vector<Time> times(static_cast<std::size_t>(n));
-        for (auto &tm : times)
-            tm = c.u64();
-        for (std::size_t i = 0; i < times.size(); ++i)
-            t.add(times[i], bitsDouble(c.u64()));
-        c.expectEnd();
-    }
-    // A torn tail (killed mid-save) drops to the intact prefix, same
-    // contract as the result store; a complete-but-corrupt frame threw
-    // inside next().
-    return t;
 }
 
 } // namespace ich

@@ -2,12 +2,6 @@
  * @file
  * Time-series traces recorded by the DAQ sampler (the software stand-in
  * for the paper's NI-DAQ PCIe-6376 measurement rig, Fig. 5).
- *
- * Traces persist on the same CRC-framed columnar chunk format as the
- * sweep result store (state/chunkio.hh): a header frame naming the
- * series, then data frames holding a time column and a raw-IEEE-754
- * value column — bit-exact round trips, torn tails recover the intact
- * sample prefix, corrupt frames are rejected loudly.
  */
 
 #ifndef ICH_MEASURE_TRACE_HH
@@ -20,12 +14,6 @@
 
 namespace ich
 {
-
-/** Chunk kinds inside a columnar trace file. */
-constexpr std::uint32_t kTraceChunkHeader = 1;
-constexpr std::uint32_t kTraceChunkData = 2;
-/** "TRC1": distinguishes a trace header from other chunk-file users. */
-constexpr std::uint32_t kTraceFormatTag = 0x31435254u;
 
 /** One sampled point. */
 struct TracePoint {
@@ -69,19 +57,6 @@ class Trace
 
     /** "time_us value" rows, decimated to at most @p max_rows. */
     std::string toRows(std::size_t max_rows = 200) const;
-
-    /**
-     * Spill the series to @p path on the columnar chunk format (see
-     * the file comment). Throws state::ArchiveError on I/O failure.
-     */
-    void saveColumnar(const std::string &path) const;
-
-    /**
-     * Load a spilled series. A torn tail yields the intact prefix; a
-     * corrupt frame or a non-trace chunk file throws
-     * state::ArchiveError.
-     */
-    static Trace loadColumnar(const std::string &path);
 
   private:
     std::string name_;

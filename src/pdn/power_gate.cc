@@ -1,7 +1,5 @@
 #include "pdn/power_gate.hh"
 
-#include "state/snapshot.hh"
-
 namespace ich
 {
 
@@ -73,24 +71,6 @@ PowerGate::touch()
     latchIdleClose();
     if (!closed_)
         lastUse_ = eq_.now();
-}
-
-void
-PowerGate::saveState(state::SaveContext &ctx) const
-{
-    ctx.w().putBool(closed_);
-    ctx.w().putI32(users_);
-    ctx.w().putU64(lastUse_);
-    ctx.w().putU64(opens_);
-}
-
-void
-PowerGate::restoreState(state::SectionReader &r)
-{
-    closed_ = r.getBool();
-    users_ = r.getI32();
-    lastUse_ = r.getU64();
-    opens_ = r.getU64();
 }
 
 } // namespace ich

@@ -28,7 +28,6 @@
 #include "common/event_queue.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -82,10 +81,6 @@ class PowerGate
     std::uint64_t openCount() const { return opens_; }
 
     const PowerGateConfig &config() const { return cfg_; }
-
-    /** Snapshot hooks (pure state — the gate owns no pending events). */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r);
 
   private:
     EventQueue &eq_;

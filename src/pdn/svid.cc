@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "state/snapshot.hh"
-
 namespace ich
 {
 
@@ -16,28 +14,6 @@ Svid::submit(double target_volts, bool is_increase, DoneCallback on_done)
         ++upInFlight_;
     if (!inFlight_)
         startNext();
-}
-
-void
-Svid::saveState(state::SaveContext &ctx) const
-{
-    if (busy())
-        throw state::ArchiveError("Svid: snapshot while transactions "
-                                  "are queued or ramping — quiesce "
-                                  "first");
-    ctx.w().putU64(completed_);
-    // Delegate the rail itself so one section round-trips the domain.
-    vr_.saveState(ctx);
-}
-
-void
-Svid::restoreState(state::SectionReader &r, state::RestoreContext &ctx)
-{
-    completed_ = r.getU64();
-    inFlight_ = false;
-    upInFlight_ = 0;
-    queue_.clear();
-    vr_.restoreState(r, ctx);
 }
 
 void

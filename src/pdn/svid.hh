@@ -20,7 +20,6 @@
 #include "common/event_queue.hh"
 #include "common/types.hh"
 #include "pdn/vr.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -59,28 +58,8 @@ class Svid
     /** Total transactions settled (stats/tests). */
     std::uint64_t completedTransactions() const { return completed_; }
 
-    /**
-     * Fast-forward query: the in-flight transaction's VR completion
-     * deadline, or kTimeNever when the bus is idle. Queued transactions
-     * start inside the completion callback chain, so the head
-     * transaction's deadline is always the bus's next discrete change.
-     */
-    Time
-    nextInterestingTime() const
-    {
-        return busy() ? vr_.nextInterestingTime() : kTimeNever;
-    }
-
     VoltageRegulator &vr() { return vr_; }
     const VoltageRegulator &vr() const { return vr_; }
-
-    /**
-     * Snapshot hooks. Transactions carry completion closures, so the
-     * bus must be idle at the quiesce point; saveState() throws while
-     * any transaction is queued or in flight.
-     */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r, state::RestoreContext &ctx);
 
   private:
     struct Txn {

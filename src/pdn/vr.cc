@@ -3,8 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "state/snapshot.hh"
-
 namespace ich
 {
 
@@ -98,32 +96,6 @@ VoltageRegulator::setTarget(double target_volts, DoneCallback on_done)
     // moves the pending completion deadline in place.
     done_.retarget(eq_, rampEndTime_ + cfg_.settleTime,
                    [this] { finishTransition(); });
-}
-
-void
-VoltageRegulator::saveState(state::SaveContext &ctx) const
-{
-    if (busy_)
-        throw state::ArchiveError("VoltageRegulator '" + name_ +
-                                  "': snapshot while a transition is in "
-                                  "flight — quiesce first");
-    ctx.w().putF64(target_);
-    ctx.w().putF64(rampFromVolts_);
-    ctx.w().putU64(rampStartTime_);
-    ctx.w().putU64(rampEndTime_);
-}
-
-void
-VoltageRegulator::restoreState(state::SectionReader &r,
-                               state::RestoreContext &)
-{
-    target_ = r.getF64();
-    rampFromVolts_ = r.getF64();
-    rampStartTime_ = r.getU64();
-    rampEndTime_ = r.getU64();
-    busy_ = false;
-    done_ = CoalescedTimer{};
-    onDone_ = nullptr;
 }
 
 void

@@ -23,7 +23,6 @@
 #include "common/rng.hh"
 #include "common/ticker.hh"
 #include "common/types.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -94,28 +93,7 @@ class VoltageRegulator
      */
     Time transitionTime(double target_volts) const;
 
-    /**
-     * Fast-forward query: absolute time of the pending completion
-     * event (ramp end + settle, jitter already applied), or kTimeNever
-     * when the rail is settled. The ramp itself is closed-form —
-     * volts() interpolates — so completion is the only discrete state
-     * change this component owns.
-     */
-    Time
-    nextInterestingTime() const
-    {
-        return busy_ ? rampEndTime_ + cfg_.settleTime : kTimeNever;
-    }
-
     const VrConfig &config() const { return cfg_; }
-
-    /**
-     * Snapshot hooks. The rail must be settled (not busy) at the
-     * quiesce point — the done callback is an unserializable closure
-     * owned by the SVID layer; saveState() throws while ramping.
-     */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r, state::RestoreContext &ctx);
 
   private:
     EventQueue &eq_;

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "state/snapshot.hh"
-
 namespace ich
 {
 
@@ -314,7 +312,6 @@ CentralPmu::startPstateTransition(double target_ghz)
 {
     assert(!pstateInFlight_);
     pstateInFlight_ = true;
-    pstateDoneAt_ = eq_.now() + cfg_.pstate.transitionLatency;
     ++pstateCount_;
     for (CoreId c = 0; c < hooks_.numCores(); ++c)
         hooks_.assertCoreThrottle(c, ThrottleReason::kPstate, 0);
@@ -372,105 +369,6 @@ CentralPmu::upclockFired()
         licenseCausedDownclock_ = false;
         startPstateTransition(desired);
     }
-}
-
-void
-CentralPmu::saveState(state::SaveContext &ctx) const
-{
-    if (pstateInFlight_)
-        throw state::ArchiveError("CentralPmu: snapshot while a P-state "
-                                  "transition is in flight — quiesce "
-                                  "first");
-    state::ArchiveWriter &w = ctx.w();
-    w.putF64(freqGhz_);
-    w.putBool(licenseCausedDownclock_);
-    w.putU64(pstateCount_);
-    w.putU64(voltageRequests_);
-    w.putU64(energyMark_);
-    w.putF64(energyJoules_);
-    w.putU64(probeMark_);
-    w.putF64(probeEnergyJoules_);
-    w.putU8(static_cast<std::uint8_t>(governor_.policy()));
-    w.putF64(governor_.userspaceGhz());
-    ctx.putEvent(upclockEvent_);
-    w.putU32(static_cast<std::uint32_t>(coreState_.size()));
-    for (const CoreState &cs : coreState_) {
-        w.putI32(cs.granted);
-        w.putI32(cs.pending);
-        w.putI32(cs.licenseLevel);
-        w.putBool(cs.throttledForV);
-        w.putU64(cs.lastPhi);
-        ctx.putEvent(cs.decay.id());
-    }
-    w.putU32(static_cast<std::uint32_t>(svids_.size()));
-    for (const auto &svid : svids_)
-        svid->saveState(ctx);
-    powerLimiter_->saveState(ctx);
-}
-
-void
-CentralPmu::restoreState(state::SectionReader &r,
-                         state::RestoreContext &ctx)
-{
-    freqGhz_ = r.getF64();
-    pstateInFlight_ = false;
-    licenseCausedDownclock_ = r.getBool();
-    pstateCount_ = r.getU64();
-    voltageRequests_ = r.getU64();
-    energyMark_ = r.getU64();
-    energyJoules_ = r.getF64();
-    probeMark_ = r.getU64();
-    probeEnergyJoules_ = r.getF64();
-    governor_.setPolicy(static_cast<GovernorPolicy>(r.getU8()));
-    governor_.setUserspaceGhz(r.getF64());
-    upclockEvent_ = EventQueue::kInvalidEvent;
-    ctx.getEvent(r, [this](EventQueue &eq, Time when, int priority) {
-        upclockEvent_ =
-            eq.schedule(when, [this] { upclockFired(); }, priority);
-    });
-    if (r.getU32() != coreState_.size())
-        throw state::ArchiveError("CentralPmu: core count mismatch");
-    for (std::size_t c = 0; c < coreState_.size(); ++c) {
-        CoreState &cs = coreState_[c];
-        cs.granted = r.getI32();
-        cs.pending = r.getI32();
-        cs.licenseLevel = r.getI32();
-        cs.throttledForV = r.getBool();
-        cs.lastPhi = r.getU64();
-        cs.decay = CoalescedTimer{};
-        CoreId core = static_cast<CoreId>(c);
-        ctx.getEvent(r, [this, core](EventQueue &eq, Time when,
-                                     int priority) {
-            coreState_[core].decay.adopt(eq.schedule(
-                when, [this, core] { decayCheck(core); }, priority));
-        });
-    }
-    if (r.getU32() != svids_.size())
-        throw state::ArchiveError("CentralPmu: VR domain count mismatch");
-    for (auto &svid : svids_)
-        svid->restoreState(r, ctx);
-    powerLimiter_->restoreState(r);
-}
-
-Time
-CentralPmu::nextInterestingTime() const
-{
-    Time best = kTimeNever;
-    if (pstateInFlight_)
-        best = std::min(best, pstateDoneAt_);
-    Time when;
-    std::int32_t prio;
-    std::uint64_t seq;
-    if (upclockEvent_ != EventQueue::kInvalidEvent &&
-        eq_.pendingInfo(upclockEvent_, when, prio, seq))
-        best = std::min(best, when);
-    for (const CoreState &cs : coreState_)
-        if (cs.decay.id() != EventQueue::kInvalidEvent &&
-            eq_.pendingInfo(cs.decay.id(), when, prio, seq))
-            best = std::min(best, when);
-    for (const auto &svid : svids_)
-        best = std::min(best, svid->nextInterestingTime());
-    return best;
 }
 
 void

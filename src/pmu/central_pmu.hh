@@ -38,7 +38,6 @@
 #include "pmu/limits.hh"
 #include "pmu/power_limit.hh"
 #include "pmu/pstate.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -144,30 +143,6 @@ class CentralPmu
     std::uint64_t voltageRequests() const { return voltageRequests_; }
     ///@}
 
-    /**
-     * Fast-forward query: earliest deadline among the PMU's self-owned
-     * discrete state changes — the pending P-state transition
-     * completion, the pending upclock, per-core guardband decay checks,
-     * and in-flight SVID/VR transactions. kTimeNever when quiescent.
-     * Periodic governor/RAPL evaluations live in the Ticker's rate
-     * groups (Ticker::nextGroupDue()); a pending writeGovernor() apply
-     * is untracked and deliberately not reported — it bounds the
-     * fast-forward pump naturally by surfacing at the event-queue head.
-     */
-    Time nextInterestingTime() const;
-
-    /**
-     * Snapshot hooks. Legal only at a quiesce point: no P-state
-     * transition in flight, every SVID bus idle, no pending governor
-     * write (writeGovernor's apply event is untracked and makes
-     * snapshot() fail its event census). Guardband decay timers and the
-     * pending upclock re-arm at their original absolute times on
-     * restore; the RAPL window and periodic governor evaluation live in
-     * the Ticker's rate-group clocks (their own snapshot section).
-     */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r, state::RestoreContext &ctx);
-
   private:
     struct CoreState {
         int granted = 0;  ///< guardband level applied on the rail
@@ -199,7 +174,6 @@ class CentralPmu
             pmu->accrueEnergy();
             pmu->reevaluateFreq();
         }
-        const char *tickName() const override { return "governor"; }
     };
 
     EventQueue &eq_;
@@ -220,9 +194,6 @@ class CentralPmu
 
     double freqGhz_;
     bool pstateInFlight_ = false;
-    /** Completion deadline of the in-flight P-state transition
-     *  (diagnostic; meaningful only while pstateInFlight_). */
-    Time pstateDoneAt_ = 0;
     /** Last downclock was license-caused: upclock waits for release. */
     bool licenseCausedDownclock_ = false;
     EventId upclockEvent_ = EventQueue::kInvalidEvent;

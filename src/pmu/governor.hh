@@ -58,21 +58,6 @@ class Governor
         }
     }
 
-    /**
-     * Fast-forward query: next periodic evaluation strictly after
-     * @p now (the Ticker fires it at k·evalInterval), or kTimeNever for
-     * a purely event-driven governor (evalInterval 0). requestGhz() is
-     * a pure function of policy state, so scheduled evaluations and
-     * writeGovernor applies are the only times a decision can move.
-     */
-    Time
-    nextEvalAfter(Time now) const
-    {
-        if (cfg_.evalInterval == 0)
-            return kTimeNever;
-        return (now / cfg_.evalInterval + 1) * cfg_.evalInterval;
-    }
-
     /** Raw state setters (the PMU applies them after applyLatency). */
     void setPolicy(GovernorPolicy p) { cfg_.policy = p; }
     void setUserspaceGhz(double ghz) { cfg_.userspaceGhz = ghz; }

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "state/snapshot.hh"
-
 namespace ich
 {
 
@@ -32,22 +30,6 @@ void
 PowerLimiter::tick(Time)
 {
     evaluate();
-}
-
-void
-PowerLimiter::saveState(state::SaveContext &ctx) const
-{
-    ctx.w().putU64(capIdx_);
-    ctx.w().putU64(evals_);
-}
-
-void
-PowerLimiter::restoreState(state::SectionReader &r)
-{
-    capIdx_ = static_cast<std::size_t>(r.getU64());
-    if (capIdx_ >= binsGhz_.size())
-        throw state::ArchiveError("PowerLimiter: cap index out of range");
-    evals_ = r.getU64();
 }
 
 double

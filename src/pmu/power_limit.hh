@@ -21,7 +21,6 @@
 
 #include "common/ticker.hh"
 #include "common/types.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -61,32 +60,10 @@ class PowerLimiter : public Clocked
     /** Number of completed evaluations (tests). */
     std::uint64_t evaluations() const { return evals_; }
 
-    /**
-     * Fast-forward query: next RAPL window crossing strictly after
-     * @p now (the Ticker fires the evaluation at k·evalInterval), or
-     * kTimeNever when the limiter is disabled. Between crossings the
-     * controller is inert — window energy accrues lazily in the PMU.
-     */
-    Time
-    nextEvalAfter(Time now) const
-    {
-        if (!cfg_.enabled)
-            return kTimeNever;
-        return (now / cfg_.evalInterval + 1) * cfg_.evalInterval;
-    }
-
     /** @name Clocked */
     ///@{
     void tick(Time now) override;
-    const char *tickName() const override { return "rapl"; }
     ///@}
-
-    /**
-     * Snapshot hooks: controller state only — the evaluation clock
-     * lives in the Ticker's rate-group section.
-     */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r);
 
   private:
     Ticker &ticker_;

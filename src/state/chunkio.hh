@@ -1,16 +1,15 @@
 /**
  * @file
- * CRC-framed append-only chunk files: the shared framing layer under
- * the columnar result store (exp/colstore) and columnar trace spills
- * (measure/trace).
+ * CRC-framed append-only chunk files: the one durable on-disk format,
+ * the framing layer under the columnar result store (exp/colstore).
  *
  * A chunk file is a flat sequence of frames:
  *
  *   frame   u32 magic "ICKF" | u32 kind | u32 bodyLen | body | u32 crc32
  *
  * All integers are little-endian with explicit widths, and the CRC
- * (state::crc32, same polynomial as StateArchive) covers the *whole
- * frame* — magic, kind, bodyLen, and body. Covering the header matters:
+ * (state::crc32, IEEE 802.3 polynomial) covers the *whole frame* —
+ * magic, kind, bodyLen, and body. Covering the header matters:
  * a flipped bit in bodyLen would otherwise masquerade as a torn tail
  * (swallowing every frame after it), and a flipped bit in kind would
  * reinterpret the body under another chunk type — both silent-data-loss
@@ -18,8 +17,7 @@
  * (bench/torture_crashpoints). `kind` is producer-defined (header/data/
  * footer chunk types).
  *
- * Durability discipline — the append-only complement of
- * atomicWriteFile's write-temp-and-rename:
+ * Durability discipline:
  *
  *  - A writer appends whole frames; in durable mode every append is
  *    fsync'd (and the directory entry is fsync'd once at creation), so
@@ -43,14 +41,31 @@
 #define ICH_STATE_CHUNKIO_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
-
-#include "state/archive.hh"
+#include <vector>
 
 namespace ich
 {
 namespace state
 {
+
+/** Any structural problem with a chunk file: I/O, truncation, CRC. */
+class ArchiveError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/** Raw bytes of one frame body (or a whole in-memory frame). */
+using Buffer = std::vector<std::uint8_t>;
+
+/**
+ * CRC-32 (IEEE 802.3 polynomial) of @p data. @p seed chains calls over
+ * discontiguous buffers: crc32(b, nb, crc32(a, na)) == crc32(a || b).
+ */
+std::uint32_t crc32(const std::uint8_t *data, std::size_t size,
+                    std::uint32_t seed = 0);
 
 /** "ICKF" — guards every frame boundary. */
 constexpr std::uint32_t kChunkFrameMagic = 0x464B4349u;
@@ -60,9 +75,6 @@ struct ChunkFrame {
     std::uint32_t kind = 0;
     Buffer body;
 };
-
-/** Serialize one frame onto @p out (in-memory composition). */
-void appendChunkFrame(Buffer &out, std::uint32_t kind, const Buffer &body);
 
 /**
  * Appends frames to a chunk file. Not thread-safe; callers serialize.
@@ -93,13 +105,6 @@ class ChunkFileWriter
 
     /** Append one frame (and fsync it in durable mode). */
     void append(std::uint32_t kind, const Buffer &body);
-
-    /**
-     * fsync the file now regardless of durability mode — lets a
-     * non-durable writer amortize one fsync across a batch of appends
-     * instead of paying one per frame. No-op on a closed writer.
-     */
-    void sync();
 
     void close();
     bool isOpen() const { return fd_ >= 0; }

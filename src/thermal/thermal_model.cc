@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "state/snapshot.hh"
-
 namespace ich
 {
 
@@ -23,20 +21,6 @@ ThermalModel::update(Time now, double watts)
         lastUpdate_ = now;
     }
     return tempC_;
-}
-
-void
-ThermalModel::saveState(state::SaveContext &ctx) const
-{
-    ctx.w().putF64(tempC_);
-    ctx.w().putU64(lastUpdate_);
-}
-
-void
-ThermalModel::restoreState(state::SectionReader &r)
-{
-    tempC_ = r.getF64();
-    lastUpdate_ = r.getU64();
 }
 
 } // namespace ich

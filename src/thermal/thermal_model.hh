@@ -17,7 +17,6 @@
 #define ICH_THERMAL_THERMAL_MODEL_HH
 
 #include "common/types.hh"
-#include "state/fwd.hh"
 
 namespace ich
 {
@@ -58,25 +57,7 @@ class ThermalModel
     double tjMax() const { return cfg_.tjMaxCelsius; }
     bool overTjMax() const { return tempC_ > cfg_.tjMaxCelsius; }
 
-    /**
-     * Fast-forward query: next periodic Tj sample strictly after
-     * @p now (the Ticker fires it at k·sampleInterval), or kTimeNever
-     * for a purely lazy model (sampleInterval 0). Between samples the
-     * node is closed-form — update() integrates the RC decay exactly.
-     */
-    Time
-    nextSampleAfter(Time now) const
-    {
-        if (cfg_.sampleInterval == 0)
-            return kTimeNever;
-        return (now / cfg_.sampleInterval + 1) * cfg_.sampleInterval;
-    }
-
     const ThermalConfig &config() const { return cfg_; }
-
-    /** Snapshot hooks (temperature + integration mark). */
-    void saveState(state::SaveContext &ctx) const;
-    void restoreState(state::SectionReader &r);
 
   private:
     ThermalConfig cfg_;

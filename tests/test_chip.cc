@@ -6,10 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "os/phi_app.hh"
-#include "state/state.hh"
 #include "test_util.hh"
 
 namespace ich
@@ -97,7 +94,7 @@ TEST(Chip, CoreActivityReportsRunningClass)
 
     // Every step kind on both SMT threads of both cores, app PHI bursts
     // and turbo P-state transitions: the summary must equal a fresh
-    // pass after every single event, and again after a restore.
+    // pass after every single event.
     ChipConfig cfg = presets::cannonLake();
     cfg.pmu.governor.policy = GovernorPolicy::kPerformance;
     ASSERT_GE(cfg.numCores, 2);
@@ -169,27 +166,6 @@ TEST(Chip, CoreActivityReportsRunningClass)
     EXPECT_EQ(calls, 3);
     EXPECT_GT(app.burstsInjected(), 0u);
     EXPECT_GE(chip.pmu().pstateTransitions(), 1u);
-
-    state::quiesce(sim);
-    ASSERT_TRUE(summaryIsExact(chip));
-    std::unique_ptr<Simulation> restored =
-        state::restore(state::snapshot(sim));
-    Chip &rchip = restored->chip();
-    ASSERT_TRUE(summaryIsExact(rchip));
-    for (int c = 0; c < 2; ++c) {
-        for (int t = 0; t < 2; ++t) {
-            Program p;
-            p.loop(t == 0 ? InstClass::k512Heavy : InstClass::kScalar64,
-                   1000, 100);
-            p.idle(fromMicroseconds(10));
-            p.waitUntilTsc(rchip.tscAt(restored->eq().now() +
-                                       fromMicroseconds(80)));
-            rchip.core(c).thread(t).setProgram(std::move(p));
-            rchip.core(c).thread(t).start();
-        }
-    }
-    EXPECT_TRUE(runCheckingSummary(
-        *restored, restored->eq().now() + fromMilliseconds(1)));
 }
 
 TEST(Chip, IccGrowsWithActivity)

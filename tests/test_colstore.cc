@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -475,25 +476,60 @@ TEST(ColStore, SparseMetricColumnsRoundTrip)
     expectBitEqual(r.readPoint(0), recs);
 }
 
-TEST(ColStore, EncodeColumnStoreMatchesTheWriterFormat)
+TEST(ColStore, OnDiskBytesArePinned)
 {
-    TempDir dir("colstore_encode");
+    // Stores already on disk must stay readable and resumable, so the
+    // writer's bytes for a fixed store (set description, sparse metric
+    // sets, values whose bits a text round trip would lose) are pinned
+    // by size and an FNV-1a digest. Not a CRC-32: every frame ends in
+    // the CRC-32 of its own bytes, so the CRC-32 of a whole chunk file
+    // depends only on its frame lengths.
+    TempDir dir("colstore_pinned");
     std::string path = dir.file("sweep.colstore");
     exp::SweepMeta meta = makeMeta();
+    ASSERT_FALSE(meta.description.empty());
 
     std::map<std::size_t, std::vector<exp::TrialRecord>> points;
-    for (std::size_t idx = 0; idx < 3; ++idx)
-        points[idx] = makeRecords(meta, idx);
+    auto add = [&](std::size_t idx, int trial, exp::MetricMap metrics) {
+        exp::TrialRecord rec;
+        rec.pointIndex = idx;
+        rec.trial = trial;
+        rec.seed = 1000 + 10 * idx + static_cast<std::uint64_t>(trial);
+        rec.metrics = std::move(metrics);
+        points[idx].push_back(std::move(rec));
+    };
+    add(0, 0, {{"ber", -0.0}, {"tp", 3e-310}});
+    add(0, 1, {{"ber", 0.1 + 0.2}, {"only_second", 7.0}});
+    add(1, 0, {{"ber", 0.5}, {"tp", 1e6}});
+    add(1, 1, {{"tp", 2.5}});
+    add(2, 0, {{"ber", 0.25}, {"tp", -1.5}});
+    add(2, 1, {{"ber", 0.75}, {"tp", 3.0}});
 
-    state::Buffer buf = exp::encodeColumnStore(storeHeader(meta), points);
-    state::atomicWriteFile(path, buf);
+    {
+        exp::ColumnStoreWriter w(path);
+        w.beginSweep(meta);
+        for (std::size_t idx : {0u, 2u, 1u})
+            w.acceptPoint(idx, points[idx].data(), points[idx].size());
+        w.endSweep();
+    }
+
+    std::ifstream in(path, std::ios::binary);
+    const state::Buffer bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    std::uint64_t digest = 1469598103934665603ull;
+    for (std::uint8_t b : bytes)
+        digest = (digest ^ b) * 1099511628211ull;
+    EXPECT_EQ(bytes.size(), 429u);
+    EXPECT_EQ(digest, 0x7e96f5bd68819a16ull);
 
     exp::ColumnStoreReader r(path);
     EXPECT_TRUE(r.matches(meta));
+    EXPECT_EQ(r.description(), meta.description);
     EXPECT_TRUE(r.cleanFooter());
-    EXPECT_EQ(r.completedPoints(), 3u);
+    ASSERT_EQ(r.completedPoints(), 3u);
     for (std::size_t idx = 0; idx < 3; ++idx)
         expectBitEqual(r.readPoint(idx), points[idx]);
+    EXPECT_TRUE(std::signbit(r.readPoint(0)[0].metrics.at("ber")));
 }
 
 TEST(ColStore, EmptyStoreRoundTrips)

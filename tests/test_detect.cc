@@ -2,9 +2,8 @@
  * @file
  * Tests for the online covert-channel detection subsystem (src/detect/):
  * count-min/Nitrosketch accuracy bounds on synthetic streams, detector
- * determinism (trial-level and --jobs), snapshot byte-identity with a
- * DetectorBank attached through the SnapshotHooks/RestoreHooks
- * extension points, attacker-vs-honest score separation, and the
+ * determinism (trial-level and --jobs), an attached DetectorBank never
+ * perturbing the physics, attacker-vs-honest score separation, and the
  * adaptive attacker's sub-budget behavior.
  */
 
@@ -20,7 +19,6 @@
 #include "detect/sketch.hh"
 #include "detect/tenant.hh"
 #include "exp/exp.hh"
-#include "state/state.hh"
 
 namespace ich
 {
@@ -173,9 +171,12 @@ TEST(DetectTenant, AdaptiveAttackerStaysUnderTheBudget)
     EXPECT_GT(p.throughputBps, 0.0);
 }
 
-// -------------------------------------------- snapshot composition
+// ------------------------------------------------- observer purity
 
-/** PHI work on two cores; returns after the programs complete. */
+/**
+ * PHI work on two cores; returns 1 ms after the programs complete, so
+ * the PDN settles and the guardband decays.
+ */
 void
 driveWork(Simulation &sim, int marker)
 {
@@ -191,7 +192,7 @@ driveWork(Simulation &sim, int marker)
         thr.start();
     }
     sim.run(fromSeconds(1.0));
-    state::quiesce(sim);
+    sim.runFor(fromMilliseconds(1));
 }
 
 /**
@@ -233,57 +234,6 @@ physicsSignature(Simulation &sim)
         }
     }
     return sig;
-}
-
-state::SnapshotHooks
-saveHooks(detect::DetectorBank &bank)
-{
-    state::SnapshotHooks hooks;
-    hooks.save = [&bank](state::ArchiveWriter &w, state::SaveContext &ctx) {
-        bank.saveSections(w, ctx);
-    };
-    return hooks;
-}
-
-TEST(DetectSnapshot, BankRestoresByteIdentically)
-{
-    detect::DetectConfig dcfg;
-    Simulation sim(presets::coffeeLake(), 99);
-    detect::DetectorBank bank(sim.chip(), dcfg);
-    driveWork(sim, 100);
-    ASSERT_GT(bank.detector(0).samples(), 0u);
-
-    state::Buffer snap = state::snapshot(sim, saveHooks(bank));
-
-    // Restore with the hook pair: the bank must re-attach before the
-    // core sections (Ticker persistent-member contract) and restore its
-    // own sections after them.
-    std::unique_ptr<detect::DetectorBank> bank2;
-    state::RestoreHooks rhooks;
-    rhooks.attach = [&](Simulation &s) {
-        bank2 = std::make_unique<detect::DetectorBank>(s.chip(), dcfg);
-    };
-    rhooks.restore = [&](Simulation &, state::ArchiveReader &ar,
-                         state::RestoreContext &ctx) {
-        bank2->restoreSections(ar, ctx);
-    };
-    std::unique_ptr<Simulation> sim2 = state::restore(snap, rhooks);
-    ASSERT_TRUE(bank2);
-
-    // Identical observable detector state right after the restore...
-    EXPECT_EQ(bank.metrics(), bank2->metrics());
-    EXPECT_EQ(bank.detector(0).samples(), bank2->detector(0).samples());
-
-    // ...and identical continuation: drive the same fresh work on
-    // both, then compare physics and detector state bit-exactly.
-    driveWork(sim, 300);
-    driveWork(*sim2, 300);
-    EXPECT_EQ(physicsSignature(sim), physicsSignature(*sim2));
-    EXPECT_EQ(bank.metrics(), bank2->metrics());
-
-    // The bank detaches cleanly: a detached sim snapshots without hooks.
-    bank2.reset();
-    EXPECT_NO_THROW(state::snapshot(*sim2));
 }
 
 TEST(DetectSnapshot, AttachedBankNeverPerturbsThePhysics)

@@ -317,17 +317,23 @@ TEST(EventQueue, RescheduleKeepsHandleValidAndCallback)
 {
     EventQueue eq;
     int fired = 0;
-    EventId a = eq.schedule(10, [&] { ++fired; });
+    Time fired_at = 0;
+    EventId a = eq.schedule(10, [&] {
+        ++fired;
+        fired_at = eq.now();
+    });
     EXPECT_TRUE(eq.reschedule(a, 50));
     EXPECT_TRUE(eq.reschedule(a, 30)); // same handle, repeatedly
-    Time when;
-    std::int32_t prio;
-    std::uint64_t seq;
-    ASSERT_TRUE(eq.pendingInfo(a, when, prio, seq));
-    EXPECT_EQ(when, 30u);
-    eq.deschedule(a); // handle still cancels the (moved) event
     eq.runUntil(100);
-    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(fired_at, 30u); // the callback moved with the event
+
+    int cancelled = 0;
+    EventId b = eq.schedule(110, [&] { ++cancelled; });
+    EXPECT_TRUE(eq.reschedule(b, 150));
+    eq.deschedule(b); // handle still cancels the (moved) event
+    eq.runUntil(200);
+    EXPECT_EQ(cancelled, 0);
 }
 
 TEST(EventQueue, RescheduleAssignsFreshInsertionSequence)

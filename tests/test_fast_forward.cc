@@ -6,21 +6,19 @@
  * dispatch — every rate-group fire popped through the event queue — as
  * the byte-identity oracle for the fast-forward pump. The two paths
  * must agree on *everything observable*: end times, records, counters,
- * throttle/P-state/SVID statistics, delivered ticks, executed-event
- * counts, and snapshot bytes; and the pump must actually engage on the
- * PDN-heavy mixes it exists for (ffFires > 0). Skips must be
- * suppressed by non-tick events — throttle flips, VR completions,
- * decay checks — without the planner predicting anything.
+ * throttle/P-state/SVID statistics, delivered ticks and executed-event
+ * counts; and the pump must actually engage on the PDN-heavy mixes it
+ * exists for (ffFires > 0). Skips must be suppressed by non-tick
+ * events — throttle flips, VR completions, decay checks — without the
+ * planner predicting anything.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "detect/detector.hh"
-#include "state/state.hh"
 #include "test_util.hh"
 
 namespace ich
@@ -29,7 +27,6 @@ namespace
 {
 
 using test::pinnedCannonLake;
-using test::quietChip;
 
 /** Everything observable about one run. */
 struct RunSig {
@@ -203,9 +200,9 @@ TEST(FastForward, ThrottleFlipsMidSkipByteIdentical)
 
 TEST(FastForward, DetectorBankAttachedByteIdentical)
 {
-    // A DetectorBank rides the Ticker (transient members): its samples
-    // are delivered by the inline pump too, and its verdict must not
-    // depend on the dispatch mechanism.
+    // A DetectorBank rides the Ticker: its samples are delivered by the
+    // inline pump too, and its verdict must not depend on the dispatch
+    // mechanism.
     exp::MetricMap metrics[2];
     RunSig sigs[2];
     for (int legacy = 0; legacy < 2; ++legacy) {
@@ -224,50 +221,25 @@ TEST(FastForward, DetectorBankAttachedByteIdentical)
     EXPECT_EQ(metrics[0], metrics[1]);
 }
 
-TEST(FastForward, SnapshotBytesIdenticalAcrossModes)
+TEST(FastForward, SecondProgramAfterFirstCompletesByteIdentical)
 {
-    // The pump credits executed events and burns insertion sequences
-    // exactly as the stepped path does, so a quiesced fast-forward run
-    // must serialize byte-for-byte like its stepped twin.
-    state::Buffer snaps[2];
+    // A second program started once the first has completed — tick
+    // groups armed, decay timers pending, PDN possibly still settling —
+    // must continue identically under the pump and stepped.
+    RunSig sigs[2];
     for (int legacy = 0; legacy < 2; ++legacy) {
-        Simulation sim(tickHeavy(2.0), 19);
+        Simulation sim(tickHeavy(2.0), 23);
         sim.setLegacyPdnEvents(legacy != 0);
         startChunked(sim, 0, 0, InstClass::k256Heavy, 3000, 10, 1);
         sim.run(fromSeconds(1.0));
-        state::quiesce(sim);
-        snaps[legacy] = state::snapshot(sim);
+        if (legacy == 0) {
+            EXPECT_GT(sim.chip().ticker().ffFires(), 0u);
+        }
+        startChunked(sim, 0, 0, InstClass::k512Heavy, 2500, 10, 2);
+        sim.runFor(fromMilliseconds(2));
+        collect(sim, sigs[legacy]);
     }
-    ASSERT_EQ(snaps[0].size(), snaps[1].size());
-    EXPECT_EQ(snaps[0], snaps[1]);
-}
-
-TEST(FastForward, SnapshotRestoreMidHorizonByteIdentical)
-{
-    // Snapshot mid-run — tick groups armed, decay timers pending — and
-    // demand the restored sim continues byte-identically under the
-    // pump, and that a stepped continuation agrees too.
-    ChipConfig cfg = tickHeavy(2.0);
-    Simulation original(cfg, 23);
-    startChunked(original, 0, 0, InstClass::k256Heavy, 3000, 10, 1);
-    original.run(fromSeconds(1.0));
-    state::quiesce(original);
-    EXPECT_GT(original.chip().ticker().ffFires(), 0u);
-
-    state::Buffer snap = state::snapshot(original);
-    std::unique_ptr<Simulation> restored = state::restore(snap);
-    std::unique_ptr<Simulation> stepped = state::restore(snap);
-    stepped->setLegacyPdnEvents(true);
-
-    RunSig cont[3];
-    Simulation *sims[3] = {&original, restored.get(), stepped.get()};
-    for (int i = 0; i < 3; ++i) {
-        startChunked(*sims[i], 0, 0, InstClass::k512Heavy, 2500, 10, 2);
-        sims[i]->runFor(fromMilliseconds(2));
-        collect(*sims[i], cont[i]);
-    }
-    expectEqualSigs(cont[0], cont[1]);
-    expectEqualSigs(cont[0], cont[2]);
+    expectEqualSigs(sigs[0], sigs[1]);
 }
 
 TEST(FastForward, RunForPumpsByteIdentical)
@@ -289,43 +261,6 @@ TEST(FastForward, RunForPumpsByteIdentical)
         }
     }
     expectEqualSigs(sigs[0], sigs[1]);
-}
-
-TEST(FastForward, InterestingTimeQueries)
-{
-    // Quiet chip, no periodic subsystems: nothing is committed.
-    Simulation quiet(quietChip(1.4), 31);
-    EXPECT_EQ(quiet.chip().nextInterestingTime(), kTimeNever);
-
-    // Tick-heavy chip: the earliest armed group is the thermal sampler.
-    Simulation sim(tickHeavy(2.0), 31);
-    EXPECT_EQ(sim.chip().ticker().nextGroupDue(), fromMicroseconds(20));
-    EXPECT_EQ(sim.chip().nextInterestingTime(), fromMicroseconds(20));
-
-    // A PHI start commits a VR transaction and a decay deadline; the
-    // SVID completion must be reported and must match the VR's.
-    CentralPmu &pmu = sim.chip().pmu();
-    startChunked(sim, 0, 0, InstClass::k512Heavy, 4000, 10, 1);
-    sim.runFor(fromNanoseconds(100));
-    ASSERT_TRUE(pmu.svid(0).busy());
-    Time vr_done = pmu.svid(0).vr().nextInterestingTime();
-    EXPECT_NE(vr_done, kTimeNever);
-    EXPECT_EQ(pmu.svid(0).nextInterestingTime(), vr_done);
-    EXPECT_LE(pmu.nextInterestingTime(), vr_done);
-    EXPECT_LE(sim.chip().nextInterestingTime(), vr_done);
-    // Whatever the chip reports next is a real queued event: the pump
-    // can never fire a tick past it.
-    EXPECT_GE(sim.chip().nextInterestingTime(), sim.eq().now());
-
-    // Closed-form grid queries.
-    const PowerLimitConfig &pl = sim.chip().pmu().config().powerLimit;
-    ASSERT_TRUE(pl.enabled);
-    EXPECT_EQ(sim.chip().thermal().nextSampleAfter(fromMicroseconds(20)),
-              fromMicroseconds(40));
-    PowerLimitConfig off;
-    (void)off; // default disabled
-    ThermalModel lazy{ThermalConfig{}};
-    EXPECT_EQ(lazy.nextSampleAfter(0), kTimeNever);
 }
 
 TEST(FastForward, PlannerCountsSpansAndSuppressions)

@@ -2,7 +2,7 @@
  * @file
  * Tests for the seeded fault-injection layer (src/fault/) and the
  * io::FileOps seam it drives: plan-spec parsing, occurrence counting,
- * and end-to-end in-process injection through the chunkio/archive
+ * and end-to-end in-process injection through the chunkio/colstore
  * stack (EINTR must be retried transparently, errors must throw loudly
  * with path and site, torn/bitflip corruption must be caught by the
  * frame CRC). Crash and torn kinds are exercised out-of-process by
@@ -20,7 +20,6 @@
 #include "exp/colstore.hh"
 #include "exp/resume.hh"
 #include "fault/fault.hh"
-#include "state/archive.hh"
 #include "state/chunkio.hh"
 
 namespace ich
@@ -56,7 +55,7 @@ TEST(FaultPlan, ParsesSeedAndRules)
 {
     fault::Plan plan = fault::parsePlan(
         "seed=99;site=chunk.write:op=write:occ=3:fault=torn:arg=7;"
-        "site=archive.read:op=read:occ=0:fault=eintr:path=warm");
+        "site=chunk.read:op=read:occ=0:fault=eintr:path=store");
     EXPECT_EQ(plan.seed, 99u);
     ASSERT_EQ(plan.rules.size(), 2u);
     EXPECT_EQ(plan.rules[0].site, "chunk.write");
@@ -64,11 +63,11 @@ TEST(FaultPlan, ParsesSeedAndRules)
     EXPECT_EQ(plan.rules[0].occ, 3u);
     EXPECT_EQ(plan.rules[0].kind, fault::Kind::kTorn);
     EXPECT_EQ(plan.rules[0].arg, 7u);
-    EXPECT_EQ(plan.rules[1].site, "archive.read");
+    EXPECT_EQ(plan.rules[1].site, "chunk.read");
     EXPECT_EQ(plan.rules[1].occ, 0u);
     EXPECT_EQ(plan.rules[1].kind, fault::Kind::kEintr);
     EXPECT_EQ(plan.rules[1].arg, fault::kNoArg);
-    EXPECT_EQ(plan.rules[1].pathSub, "warm");
+    EXPECT_EQ(plan.rules[1].pathSub, "store");
 }
 
 TEST(FaultPlan, DefaultsAndWildcards)
@@ -101,6 +100,8 @@ TEST(FaultPlan, RejectsMalformedSpecs)
     EXPECT_THROW(fault::parsePlan("site=x:op=point:fault=crash"),
                  std::invalid_argument);
     EXPECT_THROW(fault::parsePlan("site=x:op=wrte:fault=crash"),
+                 std::invalid_argument);
+    EXPECT_THROW(fault::parsePlan("site=x:op=rename:fault=crash"),
                  std::invalid_argument);
 }
 
@@ -306,41 +307,6 @@ TEST(FaultSeam, BitflipCorruptionIsCaughtByTheFrameCrc)
     state::ChunkFileScanner scan(path);
     state::ChunkFrame frame;
     EXPECT_THROW(scan.next(frame), state::ArchiveError);
-}
-
-TEST(FaultSeam, ArchiveWriteErrorsCarryPathAndSite)
-{
-    Disarmed guard;
-    TempDir dir("fault_archive");
-    std::string path = dir.file("x.snap");
-    fault::arm(fault::parsePlan(
-        "site=archive.write:op=write:occ=1:fault=enospc"));
-    try {
-        state::atomicWriteFile(path, {1, 2, 3});
-        FAIL() << "atomicWriteFile must throw on ENOSPC";
-    } catch (const state::ArchiveError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("archive.write"), std::string::npos) << msg;
-        EXPECT_NE(msg.find(dir.file("x.snap")), std::string::npos) << msg;
-    }
-    fault::disarm();
-    // The failed atomic write must leave no file behind — neither the
-    // target nor its temporary.
-    EXPECT_FALSE(fs::exists(path));
-    EXPECT_TRUE(fs::is_empty(dir.path));
-}
-
-TEST(FaultSeam, ArchiveReadEintrIsRetried)
-{
-    Disarmed guard;
-    TempDir dir("fault_archive_read");
-    std::string path = dir.file("x.snap");
-    state::atomicWriteFile(path, {9, 9, 9, 9});
-
-    fault::arm(fault::parsePlan(
-        "site=archive.read:op=read:occ=1:fault=eintr"));
-    state::Buffer got = state::readFile(path);
-    EXPECT_EQ(got, (state::Buffer{9, 9, 9, 9}));
 }
 
 TEST(FaultSeam, DurableColstorePointSurvivesInjectedTornWrite)

@@ -8,8 +8,8 @@
  * AVX-gate wake stalls, SMT co-runs, a frequency step mid-loop
  * (Chip::beforeFreqChange invalidation), and OS noise stalls. Mid-run
  * readers must see exactly the per-chunk prefix through the flushing
- * records() accessor, and chunk records must survive a tick-heavy
- * snapshot/restore byte-identically.
+ * records() accessor, and a second chunked program on a tick-heavy
+ * chip must continue byte-identically.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "os/noise.hh"
-#include "state/state.hh"
 #include "test_util.hh"
 
 namespace ich
@@ -297,44 +296,32 @@ TEST(RecordBatching, MidRunReadDoesNotPerturbContinuation)
     expectEqualSigs(sigs[0], sigs[1]);
 }
 
-TEST(RecordBatching, TickHeavySnapshotRestoreByteIdentical)
+TEST(RecordBatching, TickHeavyContinuationByteIdentical)
 {
-    // Chunk records produced by the analytic path must round-trip a
-    // tick-heavy snapshot (RAPL window + ondemand governor + thermal
-    // sampling all on the Ticker) and the restored simulation must
-    // continue byte-identically through another chunked program.
+    // Chunk records on a tick-heavy chip (RAPL window + ondemand
+    // governor + thermal sampling all on the Ticker), then a second
+    // chunked program started once the first has completed: the
+    // analytic path must match the per-chunk path through both.
     ChipConfig cfg = pinnedCannonLake(2.0);
     cfg.pmu.powerLimit.enabled = true;
     cfg.pmu.powerLimit.evalInterval = fromMicroseconds(200);
     cfg.pmu.governor.evalInterval = fromMicroseconds(50);
     cfg.thermal.sampleInterval = fromMicroseconds(20);
 
-    Simulation original(cfg, 37);
-    startChunked(original, false, 0, 0, InstClass::k256Heavy, 3000, 10,
-                 8);
-    original.run(fromSeconds(1.0));
-    state::quiesce(original);
-    ASSERT_FALSE(original.chip().core(0).thread(0).records().empty());
-
-    state::Buffer snap = state::snapshot(original);
-    std::unique_ptr<Simulation> restored = state::restore(snap);
-
-    // Saved records round-trip bit-exactly.
-    RunSig before, after;
-    collect(original, before);
-    collect(*restored, after);
-    expectEqualSigs(before, after);
-
-    // Continuation stays byte-identical (fresh chunked program on both).
-    RunSig cont[2];
-    Simulation *sims[2] = {&original, restored.get()};
-    for (int i = 0; i < 2; ++i) {
-        startChunked(*sims[i], false, 0, 0, InstClass::kScalar64, 4000,
+    RunSig first[2], cont[2];
+    for (int legacy = 0; legacy < 2; ++legacy) {
+        Simulation sim(cfg, 37);
+        startChunked(sim, legacy != 0, 0, 0, InstClass::k256Heavy, 3000,
+                     10, 8);
+        sim.run(fromSeconds(1.0));
+        collect(sim, first[legacy]);
+        startChunked(sim, legacy != 0, 0, 0, InstClass::kScalar64, 4000,
                      10, 9);
-        sims[i]->runFor(fromMilliseconds(2));
-        cont[i] = RunSig{};
-        collect(*sims[i], cont[i]);
+        sim.runFor(fromMilliseconds(2));
+        collect(sim, cont[legacy]);
     }
+    ASSERT_FALSE(first[0].records.empty());
+    expectEqualSigs(first[0], first[1]);
     expectEqualSigs(cont[0], cont[1]);
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Tests for the rate-grouped tick scheduler: deterministic same-rate
  * member ordering, register/unregister during dispatch, coprime mixed
- * rates (one event per group per period), the CoalescedTimer pattern,
- * and snapshot round-trips of tick-heavy simulations.
+ * rates (one event per group per period) and the CoalescedTimer
+ * pattern.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "chip/presets.hh"
-#include "chip/simulation.hh"
 #include "common/event_queue.hh"
 #include "common/ticker.hh"
-#include "state/state.hh"
 
 namespace ich
 {
@@ -35,7 +32,6 @@ struct Recorder final : Clocked {
         if (journal)
             journal->emplace_back(name, now);
     }
-    const char *tickName() const override { return name.c_str(); }
 };
 
 TEST(Ticker, SameRateMembersTickInRegistrationOrder)
@@ -318,106 +314,6 @@ TEST(CoalescedTimer, RetargetAfterCancelSchedulesFresh)
     eq.runToCompletion();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 200u);
-}
-
-// ---------------------------------------------------------------- snapshots
-
-/** Tick-heavy configuration: every periodic subsystem enabled. */
-ChipConfig
-tickHeavy(ChipConfig cfg)
-{
-    cfg.pmu.powerLimit.enabled = true;
-    cfg.pmu.powerLimit.evalInterval = fromMicroseconds(200);
-    cfg.pmu.governor.evalInterval = fromMicroseconds(70);
-    cfg.thermal.sampleInterval = fromMicroseconds(50);
-    return cfg;
-}
-
-void
-runPhiBursts(Simulation &sim)
-{
-    Chip &chip = sim.chip();
-    for (int c = 0; c < chip.coreCount(); ++c) {
-        Program p;
-        p.loop(InstClass::k256Heavy, 2500, 100);
-        p.idle(fromMicroseconds(35));
-        p.loop(InstClass::k256Light, 1200, 100);
-        chip.core(c).thread(0).setProgram(std::move(p));
-        chip.core(c).thread(0).start();
-    }
-    sim.run(fromSeconds(1.0));
-    state::quiesce(sim);
-}
-
-/** %a-format doubles: equal strings iff the runs are byte-identical. */
-std::string
-tickSignature(Simulation &sim, Time duration)
-{
-    sim.runFor(duration);
-    char buf[256];
-    int n = std::snprintf(
-        buf, sizeof buf,
-        "now=%llu exec=%llu pend=%zu ticks=%llu f=%a v=%a tj=%a cap=%a",
-        static_cast<unsigned long long>(sim.eq().now()),
-        static_cast<unsigned long long>(sim.eq().executedEvents()),
-        sim.eq().size(),
-        static_cast<unsigned long long>(
-            sim.chip().ticker().ticksDelivered()),
-        sim.chip().freqGhz(), sim.chip().vccVolts(), sim.chip().tjCelsius(),
-        sim.chip().pmu().config().powerLimit.limitWatts);
-    return std::string(buf, static_cast<std::size_t>(n));
-}
-
-void
-expectTickHeavyRoundTrip(ChipConfig cfg, std::uint64_t seed)
-{
-    Simulation original(tickHeavy(std::move(cfg)), seed);
-    runPhiBursts(original);
-    ASSERT_GT(original.chip().ticker().ticksDelivered(), 0u);
-
-    state::Buffer snap = state::snapshot(original);
-    auto restored = state::restore(snap);
-    ASSERT_EQ(restored->eq().now(), original.eq().now());
-    ASSERT_EQ(restored->eq().size(), original.eq().size());
-    EXPECT_EQ(restored->chip().ticker().ticksDelivered(),
-              original.chip().ticker().ticksDelivered());
-
-    // Byte-identical continuation through several tick periods.
-    EXPECT_EQ(tickSignature(original, fromMilliseconds(3)),
-              tickSignature(*restored, fromMilliseconds(3)));
-}
-
-TEST(TickerSnapshot, DesktopTickHeavyRunRestoresByteIdentically)
-{
-    expectTickHeavyRoundTrip(presets::coffeeLake(), 42);
-}
-
-TEST(TickerSnapshot, ServerTickHeavyRunRestoresByteIdentically)
-{
-    expectTickHeavyRoundTrip(presets::skylakeServer(), 1234);
-}
-
-TEST(TickerSnapshot, AttachedDaqFailsTheSaveLoudly)
-{
-    EventQueue eq;
-    Ticker ticker(eq);
-    Recorder persistent;
-    ticker.add(persistent, TickRate{100, 0, 0});
-    Recorder sampler;
-    sampler.name = "sampler";
-    ticker.add(sampler, TickRate{100, 0, 0},
-               Ticker::Ownership::kTransient);
-
-    state::ArchiveWriter w;
-    state::SaveContext ctx(w, eq);
-    w.beginSection("ticker");
-    try {
-        ticker.saveState(ctx);
-        FAIL() << "transient member accepted by saveState";
-    } catch (const state::ArchiveError &e) {
-        EXPECT_NE(std::string(e.what()).find("sampler"),
-                  std::string::npos);
-    }
 }
 
 } // namespace

@@ -1,20 +1,14 @@
 /**
  * @file
  * Tests for Trace: query semantics (binary-search fast path vs the
- * legacy scan), and the columnar save/load path on the shared chunk
- * framing — bit-exact round trips, torn-tail prefix recovery, loud
- * rejection of corrupt or alien files.
+ * legacy scan).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <vector>
 
 #include "measure/trace.hh"
-#include "state/chunkio.hh"
 
 namespace ich
 {
@@ -95,87 +89,6 @@ TEST(Trace, OutOfOrderSamplesKeepLegacySemantics)
     // Historical scan stops at the first later sample.
     EXPECT_DOUBLE_EQ(t.valueAt(15), 0.0);
     EXPECT_DOUBLE_EQ(t.valueAt(25), 1.0);
-}
-
-TEST(Trace, ColumnarSaveLoadRoundTripsBitExactly)
-{
-    namespace fs = std::filesystem;
-    std::string path =
-        (fs::path(::testing::TempDir()) / "trace_roundtrip.trc").string();
-
-    Trace t("vcc_core");
-    t.add(0, -0.0);
-    t.add(fromMicroseconds(1), 3.0e-310); // subnormal
-    for (int i = 2; i < 500; ++i)
-        t.add(fromMicroseconds(i), 0.731 + 1e-4 * i);
-    t.saveColumnar(path);
-
-    Trace loaded = Trace::loadColumnar(path);
-    EXPECT_EQ(loaded.name(), "vcc_core");
-    ASSERT_EQ(loaded.size(), t.size());
-    EXPECT_TRUE(loaded.sorted());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ(loaded.points()[i].time, t.points()[i].time);
-        std::uint64_t a, b;
-        std::memcpy(&a, &loaded.points()[i].value, sizeof a);
-        std::memcpy(&b, &t.points()[i].value, sizeof b);
-        EXPECT_EQ(a, b);
-    }
-    fs::remove(path);
-}
-
-TEST(Trace, ColumnarTornTailRecoversThePrefix)
-{
-    namespace fs = std::filesystem;
-    std::string path =
-        (fs::path(::testing::TempDir()) / "trace_torn.trc").string();
-
-    Trace t("torn");
-    for (int i = 0; i < 100; ++i)
-        t.add(fromMicroseconds(i), 1.0 * i);
-    t.saveColumnar(path);
-    // Kill mid-append: a partial frame after the intact ones.
-    {
-        std::ofstream f(path, std::ios::binary | std::ios::app);
-        f.write("ICKF\x02\x00\x00\x00", 8);
-    }
-
-    Trace loaded = Trace::loadColumnar(path);
-    EXPECT_EQ(loaded.size(), 100u);
-
-    fs::remove(path);
-}
-
-TEST(Trace, ColumnarCorruptionAndAlienFilesAreRejected)
-{
-    namespace fs = std::filesystem;
-    std::string path =
-        (fs::path(::testing::TempDir()) / "trace_corrupt.trc").string();
-
-    Trace t("c");
-    for (int i = 0; i < 10; ++i)
-        t.add(fromMicroseconds(i), 1.0 * i);
-    t.saveColumnar(path);
-    {
-        // Flip a byte inside the first frame's body: CRC must catch it.
-        std::fstream f(path,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        f.seekp(14);
-        char c = 0x7F;
-        f.write(&c, 1);
-    }
-    EXPECT_THROW(Trace::loadColumnar(path), state::ArchiveError);
-
-    // A chunk file whose header is not a trace header.
-    state::ChunkFileWriter w;
-    w.create(path, false);
-    w.append(kTraceChunkHeader, {1, 2, 3, 4, 5, 6, 7, 8});
-    w.close();
-    EXPECT_THROW(Trace::loadColumnar(path), state::ArchiveError);
-
-    EXPECT_THROW(Trace::loadColumnar(path + ".absent"),
-                 state::ArchiveError);
-    fs::remove(path);
 }
 
 } // namespace
