@@ -87,7 +87,7 @@ main(int argc, char **argv)
     exp::SweepResult res =
         exp::runAndReport(*reg.find("grid-ber-noise"), cli);
 
-    exp::MetricSummary ber = exp::rollup(res, "ber");
+    exp::MetricSummary ber = exp::rollup(res, cli, "ber");
     std::printf("rollup: overall BER mean %.4f (p90 %.4f, max %.4f) "
                 "across %zu trials\n",
                 ber.mean, ber.p90, ber.max, ber.count);

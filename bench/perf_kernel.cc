@@ -763,8 +763,7 @@ buildScenarios()
     const std::uint64_t mix_ops = envCount("ICH_PERF_EVENTS", 1000000);
     const std::uint64_t sim_iters =
         envCount("ICH_PERF_SIM_ITERS", 20000);
-    const unsigned chains = static_cast<unsigned>(
-        envCount("ICH_PERF_CHAINS", 256));
+    const unsigned chains = 256;
 
     exp::ScenarioRegistry reg;
     exp::ScenarioSpec spec;
@@ -807,11 +806,10 @@ buildScenarios()
     };
     reg.add(std::move(spec));
 
-    // Independent of ICH_PERF_SIM_ITERS: the byte-identity assertion and
-    // the committed work_events_per_sec floor both want the full-size
-    // run, which costs only tens of milliseconds either way.
-    const std::uint64_t record_iters =
-        envCount("ICH_PERF_RECORD_ITERS", 200000);
+    // Fixed, not scaled by ICH_PERF_SIM_ITERS: the byte-identity
+    // assertion and the committed work_events_per_sec floor both want
+    // the full-size run, which costs only tens of milliseconds.
+    const std::uint64_t record_iters = 200000;
 
     exp::ScenarioSpec rec;
     rec.name = "BENCH_record";
@@ -849,13 +847,11 @@ buildScenarios()
     };
     reg.add(std::move(tick));
 
-    // Deliberately independent of ICH_PERF_SIM_ITERS: the ff-vs-stepped
-    // ratio needs a few ms of simulated work to rise above wall-clock
-    // noise (full size is still ~tens of ms; same policy as
-    // BENCH_record).
-    const std::uint64_t ff_iters = envCount("ICH_PERF_FF_ITERS", 20000);
-    const unsigned ff_probes = static_cast<unsigned>(
-        envCount("ICH_PERF_FF_PROBES", 64));
+    // Fixed, not scaled by ICH_PERF_SIM_ITERS: the ff-vs-stepped ratio
+    // needs a few ms of simulated work to rise above wall-clock noise
+    // (still ~tens of ms; same policy as BENCH_record).
+    const std::uint64_t ff_iters = 20000;
+    const unsigned ff_probes = 64;
 
     exp::ScenarioSpec ff;
     ff.name = "BENCH_ff";

@@ -21,7 +21,7 @@
  * Post-hoc re-rendering: run once with --stream (or --resume), then
  * re-render reports *and* the ROC epilogue from the column store with
  * `roc_detect --render-from DIR roc-detect` — no re-simulation; the
- * epilogue reads per-trial scores back through ColumnStoreReader.
+ * epilogue reads per-trial scores back through exp::forEachTrial().
  */
 
 #include <algorithm>
@@ -131,36 +131,21 @@ struct ScoreSample {
 
 /**
  * Per-trial scores for @p metric, labeled by the point's attacker
- * axis. Prefers the materialized trials; falls back to the column
- * store (the --stream and --render-from paths), so the ROC epilogue
- * never needs a re-simulation once a store exists.
+ * axis. exp::forEachTrial() reads them on every result path, so the
+ * ROC epilogue never needs a re-simulation once a store exists.
  */
 std::vector<ScoreSample>
 collectScores(const exp::SweepResult &res, const exp::CliOptions &cli,
               const std::string &metric)
 {
     std::vector<ScoreSample> out;
-    auto fold = [&](const exp::TrialRecord &rec) {
+    exp::forEachTrial(res, cli, [&](const exp::TrialRecord &rec) {
         auto it = rec.metrics.find(metric);
         if (it == rec.metrics.end())
             return;
         bool attacker =
             res.points.at(rec.pointIndex).getInt("attacker") == 1;
         out.push_back({it->second, attacker});
-    };
-    if (!res.trials.empty()) {
-        for (const auto &rec : res.trials)
-            fold(rec);
-        return out;
-    }
-    const std::string dir =
-        cli.renderFrom.empty() ? cli.outDir : cli.renderFrom;
-    exp::ColumnStoreReader reader(
-        exp::resultStorePath(dir, res.scenario));
-    reader.forEachPoint([&](std::size_t,
-                            const std::vector<exp::TrialRecord> &recs) {
-        for (const auto &rec : recs)
-            fold(rec);
     });
     return out;
 }

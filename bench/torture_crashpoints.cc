@@ -77,19 +77,6 @@ colstoreSpec()
     return spec;
 }
 
-exp::SweepMeta
-metaFor(const exp::ScenarioSpec &spec)
-{
-    exp::SweepMeta meta;
-    meta.scenario = spec.name;
-    meta.description = spec.description;
-    meta.baseSeed = spec.baseSeed;
-    meta.trialsPerPoint = spec.trials;
-    meta.points = expandPoints(spec);
-    meta.gridFp = exp::gridFingerprint(meta.points);
-    return meta;
-}
-
 /**
  * Deterministic records for one point, including the bit-exactness
  * landmines (-0.0, subnormals) the store must round-trip.
@@ -121,7 +108,7 @@ synthRecords(const exp::SweepMeta &meta, std::size_t idx)
 PointMap
 colstoreGolden()
 {
-    exp::SweepMeta meta = metaFor(colstoreSpec());
+    exp::SweepMeta meta = exp::sweepMeta(colstoreSpec());
     PointMap golden;
     for (std::size_t i = 0; i < meta.points.size(); ++i)
         golden[i] = synthRecords(meta, i);
@@ -138,10 +125,8 @@ colstorePath(const std::string &dir)
 int
 runVictimColstore(const std::string &dir)
 {
-    exp::SweepMeta meta = metaFor(colstoreSpec());
-    exp::ColumnStoreWriter::Options opts;
-    opts.durable = true;
-    exp::ColumnStoreWriter writer(colstorePath(dir), opts);
+    exp::SweepMeta meta = exp::sweepMeta(colstoreSpec());
+    exp::ColumnStoreWriter writer(colstorePath(dir), /*durable=*/true);
     writer.beginSweep(meta);
     for (std::size_t i = 0; i < meta.points.size(); ++i) {
         std::vector<exp::TrialRecord> recs = synthRecords(meta, i);
@@ -192,7 +177,7 @@ runResumeSweep(const std::string &dir, exp::SweepResult *out = nullptr)
     exp::SweepResult res = exp::SweepRunner(opts).run(resumeSpec());
     if (out)
         *out = res;
-    return exp::jsonReport(res, true);
+    return exp::jsonReport(res);
 }
 
 int
@@ -353,7 +338,7 @@ recoverColstore(const std::string &dir, const PointMap &golden,
 {
     CycleResult res;
     const std::string path = colstorePath(dir);
-    exp::SweepMeta meta = metaFor(colstoreSpec());
+    exp::SweepMeta meta = exp::sweepMeta(colstoreSpec());
 
     PointMap have;
     std::string decode_err;
@@ -399,9 +384,7 @@ recoverColstore(const std::string &dir, const PointMap &golden,
 
     if (have.size() < golden.size()) {
         try {
-            exp::ColumnStoreWriter::Options opts;
-            opts.durable = true;
-            exp::ColumnStoreWriter writer(path, opts);
+            exp::ColumnStoreWriter writer(path, /*durable=*/true);
             writer.beginSweep(meta); // adopts the valid prefix
             for (const auto &kv : golden)
                 if (!have.count(kv.first))
@@ -477,7 +460,7 @@ seedResumeDir(const std::string &dir)
     // A fresh writer would adopt the complete store; start from none.
     fs::remove(path);
     exp::ColumnStoreWriter writer(path);
-    writer.beginSweep(metaFor(resumeSpec()));
+    writer.beginSweep(exp::sweepMeta(resumeSpec()));
     for (const auto &kv : first)
         writer.acceptPoint(kv.first, kv.second.data(), kv.second.size());
     writer.endSweep();

@@ -72,18 +72,6 @@ aggregate(const std::vector<ParamPoint> &points,
     return out;
 }
 
-MetricSummary
-rollup(const SweepResult &result, const std::string &metric)
-{
-    std::vector<double> all;
-    for (const auto &t : result.trials) {
-        auto it = t.metrics.find(metric);
-        if (it != t.metrics.end())
-            all.push_back(it->second);
-    }
-    return MetricSummary::fromSamples(all);
-}
-
 std::vector<std::string>
 metricNames(const SweepResult &result)
 {

@@ -1,8 +1,9 @@
 /**
  * @file
  * Aggregation layer for sweep results: per-(point, metric) summaries
- * (mean/stddev/min/max/percentiles, built on common/stats) plus
- * whole-sweep rollups for headline metrics like BER and throughput.
+ * (mean/stddev/min/max/percentiles, built on common/stats). Whole-sweep
+ * rollups live with the harness driver (exp/driver.hh), which can read
+ * the trials back on every result path.
  *
  * Aggregates are always computed serially from the trial records in
  * global-trial-index order, so a sweep executed on 1 worker and on N
@@ -87,13 +88,6 @@ struct SweepResult {
 std::vector<PointAggregate>
 aggregate(const std::vector<ParamPoint> &points,
           const std::vector<TrialRecord> &trials);
-
-/**
- * Whole-sweep rollup of @p metric across every trial of every point
- * (e.g. overall BER of a grid, total-throughput percentiles). Points
- * whose trials did not emit the metric contribute nothing.
- */
-MetricSummary rollup(const SweepResult &result, const std::string &metric);
 
 /** Sorted union of metric names appearing anywhere in the sweep. */
 std::vector<std::string> metricNames(const SweepResult &result);

@@ -15,6 +15,9 @@ namespace
 using state::ArchiveError;
 using state::Buffer;
 
+/** Buffered records before a batch-mode data chunk is flushed. */
+constexpr std::size_t kChunkRecords = 4096;
+
 // ---------------------------------------------------- wire primitives
 
 void
@@ -140,76 +143,6 @@ encodeHeader(const SweepMeta &meta)
     return body;
 }
 
-/**
- * One record ready for columnar encoding: metric values resolved to
- * dictionary ids so rows from different maps share columns.
- */
-struct Row {
-    std::uint64_t pointIndex;
-    std::uint32_t trial;
-    std::uint64_t seed;
-    std::vector<std::pair<std::uint32_t, double>> metrics; // id order
-};
-
-/**
- * Encode a data chunk: the dictionary delta (names assigned since the
- * last flush), then the fixed-width row columns, then one sparse
- * column per metric id present.
- */
-Buffer
-encodeDataChunk(const std::vector<std::string> &names_in_order,
-                std::size_t first_new_name, const std::vector<Row> &rows)
-{
-    Buffer body;
-
-    put32(body, static_cast<std::uint32_t>(names_in_order.size() -
-                                           first_new_name));
-    for (std::size_t i = first_new_name; i < names_in_order.size(); ++i) {
-        put32(body, static_cast<std::uint32_t>(i));
-        putString(body, names_in_order[i]);
-    }
-
-    const std::size_t n = rows.size();
-    put32(body, static_cast<std::uint32_t>(n));
-    for (const Row &r : rows)
-        put64(body, r.pointIndex);
-    for (const Row &r : rows)
-        put32(body, r.trial);
-    for (const Row &r : rows)
-        put64(body, r.seed);
-
-    // Which metric ids appear in this chunk, ascending.
-    std::vector<std::uint32_t> ids;
-    for (const Row &r : rows)
-        for (const auto &m : r.metrics)
-            ids.push_back(m.first);
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-
-    put32(body, static_cast<std::uint32_t>(ids.size()));
-    const std::size_t bitmap_bytes = (n + 7) / 8;
-    for (std::uint32_t id : ids) {
-        put32(body, id);
-        std::vector<std::uint8_t> bitmap(bitmap_bytes, 0);
-        std::vector<std::uint64_t> vals;
-        for (std::size_t row = 0; row < n; ++row) {
-            for (const auto &m : rows[row].metrics) {
-                if (m.first == id) {
-                    bitmap[row / 8] |=
-                        static_cast<std::uint8_t>(1u << (row % 8));
-                    vals.push_back(doubleBits(m.second));
-                    break;
-                }
-            }
-        }
-        body.insert(body.end(), bitmap.begin(), bitmap.end());
-        put32(body, static_cast<std::uint32_t>(vals.size()));
-        for (std::uint64_t v : vals)
-            put64(body, v);
-    }
-    return body;
-}
-
 Buffer
 encodeFooter(std::uint64_t records, std::uint64_t points,
              std::uint32_t dict_size)
@@ -291,56 +224,13 @@ decodeDataChunk(const Buffer &body, const std::string &path)
     return out;
 }
 
-std::vector<Row>
-rowsFromRecords(std::map<std::string, std::uint32_t> &name_ids,
-                std::vector<std::string> &names_in_order,
-                std::size_t point_idx, const TrialRecord *records,
-                std::size_t count)
-{
-    std::vector<Row> rows;
-    rows.reserve(count);
-    for (std::size_t t = 0; t < count; ++t) {
-        const TrialRecord &rec = records[t];
-        Row row;
-        row.pointIndex = static_cast<std::uint64_t>(point_idx);
-        row.trial = static_cast<std::uint32_t>(rec.trial);
-        row.seed = rec.seed;
-        row.metrics.reserve(rec.metrics.size());
-        for (const auto &kv : rec.metrics) {
-            auto it = name_ids.find(kv.first);
-            if (it == name_ids.end()) {
-                std::uint32_t id =
-                    static_cast<std::uint32_t>(names_in_order.size());
-                it = name_ids.emplace(kv.first, id).first;
-                names_in_order.push_back(kv.first);
-            }
-            row.metrics.emplace_back(it->second, kv.second);
-        }
-        // MetricMap iterates name order; ids were assigned on first
-        // sight, so sort to keep per-row lists in id order.
-        std::sort(row.metrics.begin(), row.metrics.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
 } // namespace
 
 // --------------------------------------------------- ColumnStoreWriter
 
-ColumnStoreWriter::ColumnStoreWriter(std::string path)
-    : ColumnStoreWriter(std::move(path), Options())
+ColumnStoreWriter::ColumnStoreWriter(std::string path, bool durable)
+    : path_(std::move(path)), durable_(durable)
 {
-}
-
-ColumnStoreWriter::ColumnStoreWriter(std::string path, Options opts)
-    : path_(std::move(path)), opts_(opts)
-{
-    if (opts_.chunkRecords == 0)
-        opts_.chunkRecords = 1;
 }
 
 ColumnStoreWriter::~ColumnStoreWriter()
@@ -380,7 +270,7 @@ ColumnStoreWriter::beginSweep(const SweepMeta &meta)
                     static_cast<std::uint32_t>(i);
             flushedNames_ = namesInOrder_.size();
             sawFooter_ = prior.cleanFooter();
-            file_.openAppend(path_, prior.validBytes(), opts_.durable);
+            file_.openAppend(path_, prior.validBytes(), durable_);
             adopted = true;
         }
     } catch (const ArchiveError &) {
@@ -393,7 +283,7 @@ ColumnStoreWriter::beginSweep(const SweepMeta &meta)
         namesInOrder_.clear();
         flushedNames_ = 0;
         sawFooter_ = false;
-        file_.create(path_, opts_.durable);
+        file_.create(path_, durable_);
         file_.append(kColChunkHeader, encodeHeader(meta));
     }
 }
@@ -406,41 +296,96 @@ ColumnStoreWriter::acceptPoint(std::size_t point_idx,
     if (!began_ || ended_)
         throw std::logic_error(
             "ColumnStoreWriter: acceptPoint outside a sweep");
-    std::vector<Row> rows = rowsFromRecords(nameIds_, namesInOrder_,
-                                            point_idx, records, count);
-    for (Row &row : rows) {
-        PendingRecord pr;
-        pr.pointIndex = row.pointIndex;
-        pr.trial = row.trial;
-        pr.seed = row.seed;
-        pr.metrics = std::move(row.metrics);
-        pending_.push_back(std::move(pr));
+    for (std::size_t t = 0; t < count; ++t) {
+        const TrialRecord &rec = records[t];
+        Row row;
+        row.pointIndex = static_cast<std::uint64_t>(point_idx);
+        row.trial = static_cast<std::uint32_t>(rec.trial);
+        row.seed = rec.seed;
+        row.metrics.reserve(rec.metrics.size());
+        for (const auto &kv : rec.metrics) {
+            auto it = nameIds_.find(kv.first);
+            if (it == nameIds_.end()) {
+                std::uint32_t id =
+                    static_cast<std::uint32_t>(namesInOrder_.size());
+                it = nameIds_.emplace(kv.first, id).first;
+                namesInOrder_.push_back(kv.first);
+            }
+            row.metrics.emplace_back(it->second, kv.second);
+        }
+        // MetricMap iterates name order; ids were assigned on first
+        // sight, so sort to keep per-row lists in id order.
+        std::sort(row.metrics.begin(), row.metrics.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        pending_.push_back(std::move(row));
     }
     fileRecords_ += count;
     ++filePoints_;
     // Whole points per chunk: flush when the batch is big enough, or
     // immediately in durable mode (fsync'd append == checkpoint).
-    if (opts_.durable || pending_.size() >= opts_.chunkRecords)
+    if (durable_ || pending_.size() >= kChunkRecords)
         flushChunk();
 }
 
+/**
+ * Write the pending rows as one data chunk: the dictionary delta
+ * (names assigned since the last flush), then the fixed-width row
+ * columns, then one sparse column per metric id present.
+ */
 void
 ColumnStoreWriter::flushChunk()
 {
     if (pending_.empty())
         return;
-    std::vector<Row> rows;
-    rows.reserve(pending_.size());
-    for (PendingRecord &pr : pending_) {
-        Row row;
-        row.pointIndex = pr.pointIndex;
-        row.trial = pr.trial;
-        row.seed = pr.seed;
-        row.metrics = std::move(pr.metrics);
-        rows.push_back(std::move(row));
+    Buffer body;
+    put32(body, static_cast<std::uint32_t>(namesInOrder_.size() -
+                                           flushedNames_));
+    for (std::size_t i = flushedNames_; i < namesInOrder_.size(); ++i) {
+        put32(body, static_cast<std::uint32_t>(i));
+        putString(body, namesInOrder_[i]);
+    }
+
+    const std::size_t n = pending_.size();
+    put32(body, static_cast<std::uint32_t>(n));
+    for (const Row &r : pending_)
+        put64(body, r.pointIndex);
+    for (const Row &r : pending_)
+        put32(body, r.trial);
+    for (const Row &r : pending_)
+        put64(body, r.seed);
+
+    // Which metric ids appear in this chunk, ascending.
+    std::vector<std::uint32_t> ids;
+    for (const Row &r : pending_)
+        for (const auto &m : r.metrics)
+            ids.push_back(m.first);
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+
+    put32(body, static_cast<std::uint32_t>(ids.size()));
+    const std::size_t bitmap_bytes = (n + 7) / 8;
+    for (std::uint32_t id : ids) {
+        put32(body, id);
+        std::vector<std::uint8_t> bitmap(bitmap_bytes, 0);
+        std::vector<std::uint64_t> vals;
+        for (std::size_t row = 0; row < n; ++row) {
+            for (const auto &m : pending_[row].metrics) {
+                if (m.first == id) {
+                    bitmap[row / 8] |=
+                        static_cast<std::uint8_t>(1u << (row % 8));
+                    vals.push_back(doubleBits(m.second));
+                    break;
+                }
+            }
+        }
+        body.insert(body.end(), bitmap.begin(), bitmap.end());
+        put32(body, static_cast<std::uint32_t>(vals.size()));
+        for (std::uint64_t v : vals)
+            put64(body, v);
     }
     pending_.clear();
-    Buffer body = encodeDataChunk(namesInOrder_, flushedNames_, rows);
     flushedNames_ = namesInOrder_.size();
     file_.append(kColChunkData, body);
     // A new data frame invalidates any adopted footer's totals; the

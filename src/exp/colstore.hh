@@ -64,19 +64,12 @@ constexpr std::uint32_t kColFormatVersion = 1;
 class ColumnStoreWriter final : public ResultSink
 {
   public:
-    struct Options {
-        /** Buffered records before a chunk is flushed (batch mode). */
-        std::size_t chunkRecords = 4096;
-        /**
-         * Durable mode: flush + fsync after every acceptPoint(), so a
-         * kill -9 never loses a completed point. Off: chunks flush at
-         * chunkRecords and on endSweep() (spill-throughput mode).
-         */
-        bool durable = false;
-    };
-
-    explicit ColumnStoreWriter(std::string path);
-    ColumnStoreWriter(std::string path, Options opts);
+    /**
+     * @p durable: flush + fsync after every acceptPoint(), so a kill -9
+     * never loses a completed point. Otherwise chunks flush in batches
+     * of whole points and on endSweep() (spill-throughput mode).
+     */
+    explicit ColumnStoreWriter(std::string path, bool durable = false);
     ~ColumnStoreWriter() override;
 
     void beginSweep(const SweepMeta &meta) override;
@@ -87,24 +80,26 @@ class ColumnStoreWriter final : public ResultSink
     /** Points already present when beginSweep() adopted the file. */
     std::size_t adoptedPoints() const { return adoptedPoints_; }
 
-    const std::string &path() const { return path_; }
-
   private:
-    struct PendingRecord {
+    /**
+     * One record ready for columnar encoding: metric values resolved
+     * to dictionary ids so rows from different maps share columns.
+     */
+    struct Row {
         std::uint64_t pointIndex;
         std::uint32_t trial;
         std::uint64_t seed;
-        /** (dictionary id, value) pairs in metric-name order. */
+        /** (dictionary id, value) pairs in id order. */
         std::vector<std::pair<std::uint32_t, double>> metrics;
     };
 
     std::string path_;
-    Options opts_;
+    bool durable_;
     state::ChunkFileWriter file_;
     std::map<std::string, std::uint32_t> nameIds_;
     std::vector<std::string> namesInOrder_;
     std::size_t flushedNames_ = 0; ///< dictionary entries already on disk
-    std::vector<PendingRecord> pending_;
+    std::vector<Row> pending_;
     std::uint64_t fileRecords_ = 0; ///< records on disk + pending
     std::uint64_t filePoints_ = 0;  ///< whole points on disk + pending
     std::size_t adoptedPoints_ = 0;

@@ -116,26 +116,35 @@ printAndWrite(const Sweep &sweep, const CliOptions &cli,
     std::printf("\n");
 }
 
+/** A streamed sweep's result: header, points and aggregates, no
+ *  trials (those stay in the column store; see forEachTrial()). */
+SweepResult
+resultOf(const SweepMeta &meta, const StreamingAggregator &agg)
+{
+    SweepResult result;
+    result.scenario = meta.scenario;
+    result.description = meta.description;
+    result.baseSeed = meta.baseSeed;
+    result.trialsPerPoint = meta.trialsPerPoint;
+    result.points = meta.points;
+    result.aggregates = agg.aggregates();
+    return result;
+}
+
 /**
  * --render-from: rebuild the sweep's identity from the registry spec,
  * read the completed points out of the prior run's column store, and
  * render exactly what the live run rendered — no simulation. The
- * returned SweepResult carries the replayed aggregates, so harness
+ * returned SweepResult carries the replayed aggregates, and
+ * forEachTrial() reads the trials from the same store, so harness
  * epilogues (figure commentary, ROC post-processing) work unchanged.
  */
 SweepResult
 renderFromStore(const ScenarioSpec &spec, const CliOptions &cli)
 {
-    SweepMeta meta;
-    meta.scenario = spec.name;
-    meta.description = spec.description;
-    meta.baseSeed = cli.seed.value_or(spec.baseSeed);
-    meta.trialsPerPoint = cli.trials.value_or(spec.trials);
-    meta.points = expandPoints(spec);
-    meta.gridFp = gridFingerprint(meta.points);
-
     SweepResult result;
     try {
+        const SweepMeta meta = sweepMeta(spec, cli.seed, cli.trials);
         const std::string store_path =
             resultStorePath(cli.renderFrom, spec.name);
         ColumnStoreReader reader(store_path);
@@ -157,12 +166,7 @@ renderFromStore(const ScenarioSpec &spec, const CliOptions &cli)
             });
         agg.endSweep();
 
-        result.scenario = meta.scenario;
-        result.description = meta.description;
-        result.baseSeed = meta.baseSeed;
-        result.trialsPerPoint = meta.trialsPerPoint;
-        result.points = meta.points;
-        result.aggregates = agg.aggregates();
+        result = resultOf(meta, agg);
 
         StoreSweepView view{meta, agg, reader};
         printAndWrite(view, cli, meta.scenario, meta.description, 0,
@@ -205,14 +209,8 @@ runAndReportStreaming(const ScenarioSpec &spec, const CliOptions &cli)
         std::exit(1);
     }
 
-    SweepResult result;
     const SweepMeta &meta = metacap.meta();
-    result.scenario = meta.scenario;
-    result.description = meta.description;
-    result.baseSeed = meta.baseSeed;
-    result.trialsPerPoint = meta.trialsPerPoint;
-    result.points = meta.points;
-    result.aggregates = agg.aggregates();
+    SweepResult result = resultOf(meta, agg);
     result.jobs = stats.jobs;
     result.wallSeconds = stats.wallSeconds;
     result.resumedPoints = stats.resumedPoints;
@@ -253,6 +251,45 @@ runAndReport(const ScenarioSpec &spec, const CliOptions &cli)
     printAndWrite(result, cli, result.scenario, result.description,
                   result.resumedPoints, result.points.size());
     return result;
+}
+
+void
+forEachTrial(const SweepResult &result, const CliOptions &cli,
+             const std::function<void(const TrialRecord &)> &fn)
+{
+    if (cli.renderFrom.empty() && !cli.stream) {
+        for (const auto &t : result.trials)
+            fn(t);
+        return;
+    }
+    // --stream and --render-from leave the trials in the run's column
+    // store: the one the sweep spilled into, or the one it re-rendered.
+    const std::string &dir =
+        cli.renderFrom.empty() ? cli.outDir : cli.renderFrom;
+    try {
+        ColumnStoreReader reader(resultStorePath(dir, result.scenario));
+        reader.forEachPoint(
+            [&fn](std::size_t, const std::vector<TrialRecord> &recs) {
+                for (const auto &t : recs)
+                    fn(t);
+            });
+    } catch (const state::ArchiveError &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(1);
+    }
+}
+
+MetricSummary
+rollup(const SweepResult &result, const CliOptions &cli,
+       const std::string &metric)
+{
+    std::vector<double> all;
+    forEachTrial(result, cli, [&](const TrialRecord &t) {
+        auto it = t.metrics.find(metric);
+        if (it != t.metrics.end())
+            all.push_back(it->second);
+    });
+    return MetricSummary::fromSamples(all);
 }
 
 } // namespace exp

@@ -8,13 +8,14 @@
  *                  materializer)
  *  - colstore.hh   append-only columnar result store (spill + resume)
  *  - runner.hh     SweepRunner: worker-pool fan-out, deterministic seeds
- *  - aggregate.hh  per-point metric summaries + whole-sweep rollups
+ *  - aggregate.hh  per-point metric summaries
  *  - resume.hh     completed-points result store path + grid fingerprint
  *  - report.hh     text / JSON / CSV reporters (materialized or
  *                  store-backed)
  *  - cli.hh        shared harness flags (--jobs, --seed, --json, --out,
  *                  --resume, --stream)
- *  - driver.hh     run-and-report glue for the bench executables
+ *  - driver.hh     run-and-report glue for the bench executables, plus
+ *                  trial visits and whole-sweep rollups on every path
  */
 
 #ifndef ICH_EXP_EXP_HH

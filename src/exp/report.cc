@@ -161,7 +161,7 @@ textCore(const View &v)
 }
 
 std::string
-jsonCore(const View &v, bool include_trials)
+jsonCore(const View &v)
 {
     JsonWriter w;
     w.beginObject();
@@ -213,22 +213,19 @@ jsonCore(const View &v, bool include_trials)
     }
     w.endObject();
 
-    if (include_trials) {
-        w.key("trials").beginArray();
-        v.forEachTrial([&w](const TrialRecord &t) {
-            w.beginObject();
-            w.key("point").value(
-                static_cast<std::uint64_t>(t.pointIndex));
-            w.key("trial").value(t.trial);
-            w.key("seed").value(t.seed);
-            w.key("metrics").beginObject();
-            for (const auto &kv : t.metrics)
-                w.key(kv.first).value(kv.second);
-            w.endObject();
-            w.endObject();
-        });
-        w.endArray();
-    }
+    w.key("trials").beginArray();
+    v.forEachTrial([&w](const TrialRecord &t) {
+        w.beginObject();
+        w.key("point").value(static_cast<std::uint64_t>(t.pointIndex));
+        w.key("trial").value(t.trial);
+        w.key("seed").value(t.seed);
+        w.key("metrics").beginObject();
+        for (const auto &kv : t.metrics)
+            w.key(kv.first).value(kv.second);
+        w.endObject();
+        w.endObject();
+    });
+    w.endArray();
 
     w.endObject();
     return w.str();
@@ -309,7 +306,7 @@ writeCore(const View &v, const std::string &out_dir,
     ReportPaths paths;
     if (opts.json) {
         paths.json = (dir / (v.scenario + ".json")).string();
-        write(paths.json, jsonCore(v, opts.includeTrials));
+        write(paths.json, jsonCore(v));
     }
     if (opts.csv) {
         paths.csv = (dir / (v.scenario + ".csv")).string();
@@ -333,15 +330,15 @@ textReport(const StoreSweepView &view)
 }
 
 std::string
-jsonReport(const SweepResult &result, bool include_trials)
+jsonReport(const SweepResult &result)
 {
-    return jsonCore(viewOf(result), include_trials);
+    return jsonCore(viewOf(result));
 }
 
 std::string
-jsonReport(const StoreSweepView &view, bool include_trials)
+jsonReport(const StoreSweepView &view)
 {
-    return jsonCore(viewOf(view), include_trials);
+    return jsonCore(viewOf(view));
 }
 
 std::string

@@ -56,13 +56,11 @@ std::string textReport(const StoreSweepView &view);
 
 /**
  * Full JSON document: scenario header, per-point parameter values and
- * metric summaries, whole-sweep rollups, and (optionally) the raw
- * per-trial records with their derived seeds.
+ * metric summaries, whole-sweep rollups, and the raw per-trial records
+ * with their derived seeds.
  */
-std::string jsonReport(const SweepResult &result,
-                       bool include_trials = true);
-std::string jsonReport(const StoreSweepView &view,
-                       bool include_trials = true);
+std::string jsonReport(const SweepResult &result);
+std::string jsonReport(const StoreSweepView &view);
 
 /**
  * Wide CSV: one row per grid point; axis label columns followed by
@@ -80,8 +78,6 @@ struct ReportPaths {
 
 /** Format selection for writeReports(). */
 struct ReportOptions {
-    /** Embed the raw per-trial records in the JSON report. */
-    bool includeTrials = true;
     /** Write `<scenario>.json`. */
     bool json = true;
     /** Write `<scenario>.csv`. */

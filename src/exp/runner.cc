@@ -34,15 +34,7 @@ SweepRunner::runStreaming(const ScenarioSpec &spec, ResultSink &sink) const
         throw std::invalid_argument("SweepRunner: scenario '" + spec.name +
                                     "' has no trial function");
 
-    SweepMeta meta;
-    meta.scenario = spec.name;
-    meta.description = spec.description;
-    meta.baseSeed = opts_.seed.value_or(spec.baseSeed);
-    meta.trialsPerPoint = opts_.trials.value_or(spec.trials);
-    if (meta.trialsPerPoint < 1)
-        throw std::invalid_argument("SweepRunner: trials must be >= 1");
-    meta.points = expandPoints(spec);
-    meta.gridFp = gridFingerprint(meta.points);
+    const SweepMeta meta = sweepMeta(spec, opts_.seed, opts_.trials);
 
     StreamStats stats;
     stats.points = meta.points.size();
@@ -96,9 +88,8 @@ SweepRunner::runStreaming(const ScenarioSpec &spec, ResultSink &sink) const
     std::atomic<bool> checkpoint_ok{false};
     if (resumable) {
         try {
-            ColumnStoreWriter::Options copts;
-            copts.durable = true;
-            checkpoint.reset(new ColumnStoreWriter(store_path, copts));
+            checkpoint.reset(
+                new ColumnStoreWriter(store_path, /*durable=*/true));
             checkpoint->beginSweep(meta);
             checkpoint_ok.store(true);
         } catch (const std::exception &e) {
@@ -141,8 +132,6 @@ SweepRunner::runStreaming(const ScenarioSpec &spec, ResultSink &sink) const
     // depends on scheduling.
     std::atomic<std::size_t> cursor{0};
     std::mutex sink_mu;
-    std::mutex progress_mu;
-    std::size_t completed = total - pending_trials; // under progress_mu
     std::mutex error_mu;
     std::size_t first_error_idx = total;
     std::string first_error_msg;
@@ -219,12 +208,6 @@ SweepRunner::runStreaming(const ScenarioSpec &spec, ResultSink &sink) const
                                          e.what());
                     }
                 }
-            }
-            if (opts_.progress) {
-                // Count inside the lock so callbacks see a monotonic
-                // completion sequence.
-                std::lock_guard<std::mutex> lock(progress_mu);
-                opts_.progress(++completed, total);
             }
         }
     };

@@ -20,7 +20,6 @@
 #define ICH_EXP_RUNNER_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "exp/aggregate.hh"
@@ -40,11 +39,6 @@ struct RunnerOptions {
     std::optional<std::uint64_t> seed;
     /** Override the spec's trials-per-point. */
     std::optional<int> trials;
-    /**
-     * Progress callback (completed, total), invoked from worker threads
-     * under an internal mutex. Leave empty for silent runs.
-     */
-    std::function<void(std::size_t, std::size_t)> progress;
     /**
      * Resumable-sweep directory (empty: off). When set, the runner
      * (a) skips grid points recorded as complete in

@@ -139,24 +139,7 @@ expandPoints(const ScenarioSpec &spec)
             throw std::invalid_argument("scenario '" + spec.name +
                                         "': axis '" + a.name + "' is empty");
 
-    if (spec.style == SweepStyle::kZip) {
-        std::size_t n = spec.axes.front().values.size();
-        for (const auto &a : spec.axes) {
-            if (a.values.size() != n)
-                throw std::invalid_argument(
-                    "scenario '" + spec.name +
-                    "': zip axes must have equal lengths");
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            ParamPoint p;
-            for (const auto &a : spec.axes)
-                p.set(a.name, a.values[i]);
-            points.push_back(std::move(p));
-        }
-        return points;
-    }
-
-    // Cartesian: first axis outermost (varies slowest), like the nested
+    // First axis outermost (varies slowest), like the nested
     // for-loops the serial harnesses used to write by hand.
     std::size_t total = 1;
     for (const auto &a : spec.axes)

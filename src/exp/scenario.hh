@@ -4,11 +4,11 @@
  * the scenario registry.
  *
  * A ScenarioSpec describes one experiment grid the way the paper's
- * evaluation sections do: a set of parameter axes (cartesian product or
- * zipped lists), a number of seeded trials per grid point, and a trial
- * function mapping (point, seed) to named metrics. Every trial is
- * independent and reproducible from its derived seed, so the SweepRunner
- * can fan trials out across a worker pool without changing results.
+ * evaluation sections do: a set of parameter axes (cartesian product),
+ * a number of seeded trials per grid point, and a trial function
+ * mapping (point, seed) to named metrics. Every trial is independent
+ * and reproducible from its derived seed, so the SweepRunner can fan
+ * trials out across a worker pool without changing results.
  */
 
 #ifndef ICH_EXP_SCENARIO_HH
@@ -143,12 +143,6 @@ class ParamPoint
     std::vector<Entry> entries_;
 };
 
-/** How the axes combine into grid points. */
-enum class SweepStyle {
-    kCartesian, ///< every combination; first axis varies slowest
-    kZip,       ///< axes iterated in lockstep (all must be equal length)
-};
-
 /** Named metric values produced by one trial (ordered for reporting). */
 using MetricMap = std::map<std::string, double>;
 
@@ -164,18 +158,16 @@ struct TrialContext {
 struct ScenarioSpec {
     std::string name;
     std::string description;
-    SweepStyle style = SweepStyle::kCartesian;
-    std::vector<ParamAxis> axes;
+    std::vector<ParamAxis> axes;  ///< cartesian product, first outermost
     int trials = 1;               ///< seeded repetitions per grid point
     std::uint64_t baseSeed = 1;   ///< root of the per-trial seed schedule
     std::function<MetricMap(const TrialContext &)> run;
 };
 
 /**
- * Expand the spec's axes into the ordered list of grid points.
- * Cartesian expansion nests left-to-right (first axis outermost); zip
- * expansion requires all axes to have the same length. A spec with no
- * axes expands to one empty point.
+ * Expand the spec's axes into the ordered list of grid points: every
+ * combination, nested left-to-right (first axis outermost). A spec
+ * with no axes expands to one empty point.
  */
 std::vector<ParamPoint> expandPoints(const ScenarioSpec &spec);
 

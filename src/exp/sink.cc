@@ -3,10 +3,29 @@
 #include <map>
 #include <stdexcept>
 
+#include "exp/resume.hh"
+
 namespace ich
 {
 namespace exp
 {
+
+SweepMeta
+sweepMeta(const ScenarioSpec &spec, std::optional<std::uint64_t> seed,
+          std::optional<int> trials)
+{
+    SweepMeta meta;
+    meta.scenario = spec.name;
+    meta.description = spec.description;
+    meta.baseSeed = seed.value_or(spec.baseSeed);
+    meta.trialsPerPoint = trials.value_or(spec.trials);
+    if (meta.trialsPerPoint < 1)
+        throw std::invalid_argument("scenario '" + spec.name +
+                                    "': trials must be >= 1");
+    meta.points = expandPoints(spec);
+    meta.gridFp = gridFingerprint(meta.points);
+    return meta;
+}
 
 // -------------------------------------------------- MaterializeSink
 

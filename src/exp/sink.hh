@@ -31,6 +31,7 @@
 #define ICH_EXP_SINK_HH
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -56,6 +57,16 @@ struct SweepMeta {
 
     std::size_t numPoints() const { return points.size(); }
 };
+
+/**
+ * The identity of @p spec's sweep: its expanded grid and fingerprint,
+ * with @p seed and @p trials overriding the spec's base seed and
+ * trials-per-point when set. Throws std::invalid_argument when the
+ * trial count is below 1.
+ */
+SweepMeta sweepMeta(const ScenarioSpec &spec,
+                    std::optional<std::uint64_t> seed = std::nullopt,
+                    std::optional<int> trials = std::nullopt);
 
 /** Consumer of completed grid points (see the file comment). */
 class ResultSink

@@ -150,14 +150,7 @@ makeMeta(int trials = 2, std::uint64_t seed = 42)
     spec.name = "colstore-grid";
     spec.description = "store round-trip grid";
     spec.axes = {exp::axis("x", {1.0, 2.0, 3.0})};
-    exp::SweepMeta meta;
-    meta.scenario = spec.name;
-    meta.description = spec.description;
-    meta.baseSeed = seed;
-    meta.trialsPerPoint = trials;
-    meta.points = exp::expandPoints(spec);
-    meta.gridFp = exp::gridFingerprint(meta.points);
-    return meta;
+    return exp::sweepMeta(spec, seed, trials);
 }
 
 /** Trials of one point, with bit-pattern-hostile values on point 0. */
@@ -284,9 +277,7 @@ TEST(ColStore, InterruptedStoreIsReadableWithoutFooter)
     exp::SweepMeta meta = makeMeta();
 
     {
-        exp::ColumnStoreWriter::Options opts;
-        opts.durable = true;
-        exp::ColumnStoreWriter w(path, opts);
+        exp::ColumnStoreWriter w(path, /*durable=*/true);
         w.beginSweep(meta);
         for (std::size_t idx : {0u, 1u}) {
             auto recs = makeRecords(meta, idx);
@@ -308,9 +299,7 @@ TEST(ColStore, AdoptionContinuesAnInterruptedStore)
     exp::SweepMeta meta = makeMeta();
 
     {
-        exp::ColumnStoreWriter::Options opts;
-        opts.durable = true;
-        exp::ColumnStoreWriter w(path, opts);
+        exp::ColumnStoreWriter w(path, /*durable=*/true);
         w.beginSweep(meta);
         for (std::size_t idx : {0u, 1u}) {
             auto recs = makeRecords(meta, idx);
@@ -594,6 +583,80 @@ TEST(ColStore, StreamRerunWithoutResumeRewritesTheSpill)
     }
     EXPECT_EQ(sizes[1], sizes[0]);
     EXPECT_EQ(sizes[2], sizes[0]);
+}
+
+// exp::forEachTrial() is the one way a harness epilogue reads a
+// finished run's trials. runAndReport() returns no trials under
+// --stream and --render-from, so the visits (and the rollups built on
+// them) must come back from the store bit-identical and in the same
+// order as on the default path. 4 points x 1400 trials cross the
+// writer's 4096-record batch, so the spill holds two data chunks and
+// the second carries a dictionary entry of its own.
+TEST(Driver, ForEachTrialVisitsTheSameRecordsOnEveryPath)
+{
+    TempDir dir("driver_for_each_trial");
+    exp::ScenarioSpec spec;
+    spec.name = "visit-grid";
+    spec.description = "trial visits on every result path";
+    spec.axes = {exp::axis("x", {1.0, 2.0, 3.0, 4.0})};
+    spec.trials = 1400;
+    spec.run = [](const exp::TrialContext &ctx) {
+        // -0.0 and a subnormal: values only a bit-exact path keeps.
+        exp::MetricMap m{{"y", ctx.point.get("x") / 3.0 + ctx.trial},
+                         {"neg_zero", -0.0},
+                         {"tiny", 4.9e-324 * (ctx.trial + 1)}};
+        if (ctx.point.get("x") == 4.0)
+            m["late"] = 0.1 * ctx.trial;
+        return m;
+    };
+
+    struct Visit {
+        std::vector<exp::TrialRecord> trials;
+        exp::MetricSummary y;
+    };
+    auto visit = [&spec](const exp::CliOptions &cli) {
+        exp::SweepResult res = exp::runAndReport(spec, cli);
+        Visit v;
+        exp::forEachTrial(res, cli, [&v](const exp::TrialRecord &t) {
+            v.trials.push_back(t);
+        });
+        v.y = exp::rollup(res, cli, "y");
+        return v;
+    };
+
+    exp::CliOptions cli;
+    cli.jobs = 1; // fixes which points share a chunk
+    cli.outDir = dir.path.string();
+    Visit mat = visit(cli);
+
+    cli.stream = true;
+    Visit streamed = visit(cli);
+
+    cli.stream = false;
+    cli.renderFrom = dir.path.string();
+    cli.outDir = dir.file("render");
+    Visit rendered = visit(cli);
+
+    state::ChunkFileScanner scan(
+        exp::resultStorePath(dir.path.string(), spec.name));
+    state::ChunkFrame frame;
+    int data_chunks = 0;
+    while (scan.next(frame))
+        data_chunks += frame.kind == exp::kColChunkData ? 1 : 0;
+    EXPECT_EQ(data_chunks, 2);
+
+    ASSERT_EQ(mat.trials.size(), 5600u);
+    for (std::size_t i = 0; i < mat.trials.size(); ++i) {
+        EXPECT_EQ(mat.trials[i].pointIndex, i / 1400);
+        EXPECT_EQ(mat.trials[i].trial, static_cast<int>(i % 1400));
+    }
+    expectBitEqual(streamed.trials, mat.trials);
+    expectBitEqual(rendered.trials, mat.trials);
+    for (const Visit *v : {&streamed, &rendered}) {
+        EXPECT_EQ(v->y.count, 5600u);
+        EXPECT_EQ(bitsOf(v->y.mean), bitsOf(mat.y.mean));
+        EXPECT_EQ(bitsOf(v->y.p90), bitsOf(mat.y.p90));
+    }
 }
 
 } // namespace

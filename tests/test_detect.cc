@@ -151,8 +151,8 @@ TEST(DetectTenant, JobsAreByteIdentical)
     serial.jobs = 1;
     exp::RunnerOptions pooled;
     pooled.jobs = 4;
-    EXPECT_EQ(exp::jsonReport(exp::SweepRunner(serial).run(spec), true),
-              exp::jsonReport(exp::SweepRunner(pooled).run(spec), true));
+    EXPECT_EQ(exp::jsonReport(exp::SweepRunner(serial).run(spec)),
+              exp::jsonReport(exp::SweepRunner(pooled).run(spec)));
 }
 
 TEST(DetectTenant, AdaptiveAttackerStaysUnderTheBudget)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/aggregate.hh"
+#include "exp/driver.hh"
 
 namespace ich
 {
@@ -95,14 +96,14 @@ TEST(Aggregate, RollupAndMetricNames)
     };
     r.aggregates = aggregate(r.points, r.trials);
 
-    MetricSummary all = rollup(r, "ber");
+    MetricSummary all = rollup(r, CliOptions(), "ber");
     EXPECT_EQ(all.count, 3u);
     EXPECT_NEAR(all.mean, 0.2, 1e-12);
 
     EXPECT_EQ(metricNames(r),
               (std::vector<std::string>{"ber", "extra"}));
 
-    EXPECT_EQ(rollup(r, "absent").count, 0u);
+    EXPECT_EQ(rollup(r, CliOptions(), "absent").count, 0u);
 }
 
 TEST(Aggregate, SweepResultPointMetricAccessor)

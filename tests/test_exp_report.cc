@@ -88,7 +88,7 @@ TEST(JsonWriter, NumberFormattingIsStable)
 
 TEST(Report, GoldenJson)
 {
-    std::string json = jsonReport(goldenResult(), /*include_trials=*/true);
+    std::string json = jsonReport(goldenResult());
 
     std::ostringstream want;
     want << "{\n"
@@ -368,14 +368,13 @@ TEST(Report, WriteReportsHonorsFormatSelection)
 
     opts.json = true;
     opts.csv = false;
-    opts.includeTrials = false;
     paths = writeReports(result, dir.string(), opts);
     EXPECT_FALSE(paths.json.empty());
     EXPECT_TRUE(paths.csv.empty());
     std::ifstream jf(paths.json, std::ios::binary);
     std::stringstream jbuf;
     jbuf << jf.rdbuf();
-    EXPECT_EQ(jbuf.str(), jsonReport(result, /*include_trials=*/false));
+    EXPECT_EQ(jbuf.str(), jsonReport(result));
     fs::remove_all(dir);
 }
 
@@ -433,7 +432,6 @@ TEST(Report, StoreBackedViewIsByteIdenticalToMaterialized)
 
     EXPECT_EQ(textReport(view), textReport(result));
     EXPECT_EQ(jsonReport(view), jsonReport(result));
-    EXPECT_EQ(jsonReport(view, false), jsonReport(result, false));
     EXPECT_EQ(csvReport(view), csvReport(result));
 
     // writeReports over the view produces byte-identical files too.

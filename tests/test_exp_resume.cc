@@ -104,13 +104,7 @@ keepFirstPoints(const std::string &path, const exp::ScenarioSpec &spec,
                 points[idx] = recs;
         });
     }
-    exp::SweepMeta meta;
-    meta.scenario = spec.name;
-    meta.description = spec.description;
-    meta.baseSeed = spec.baseSeed;
-    meta.trialsPerPoint = spec.trials;
-    meta.points = exp::expandPoints(spec);
-    meta.gridFp = exp::gridFingerprint(meta.points);
+    exp::SweepMeta meta = exp::sweepMeta(spec);
     // A fresh writer would adopt the complete store; start from none.
     fs::remove(path);
     exp::ColumnStoreWriter w(path);
@@ -124,7 +118,7 @@ std::string
 runToJson(const exp::ScenarioSpec &spec, exp::RunnerOptions opts)
 {
     exp::SweepResult result = exp::SweepRunner(opts).run(spec);
-    return exp::jsonReport(result, /*include_trials=*/true);
+    return exp::jsonReport(result);
 }
 
 struct TempDir {
@@ -150,7 +144,7 @@ TEST(Resume, CompletedSweepResumesInstantlyAndIdentically)
 
     exp::SweepResult again = exp::SweepRunner(opts).run(spec);
     EXPECT_EQ(again.resumedPoints, again.points.size());
-    EXPECT_EQ(exp::jsonReport(again, true), first);
+    EXPECT_EQ(exp::jsonReport(again), first);
 }
 
 TEST(Resume, InterruptedSweepResumesByteIdentically)
@@ -168,7 +162,7 @@ TEST(Resume, InterruptedSweepResumesByteIdentically)
 
     exp::SweepResult resumed = exp::SweepRunner(opts).run(spec);
     EXPECT_EQ(resumed.resumedPoints, 2u);
-    EXPECT_EQ(exp::jsonReport(resumed, true), uninterrupted);
+    EXPECT_EQ(exp::jsonReport(resumed), uninterrupted);
 }
 
 TEST(Resume, MismatchedManifestRestartsFromScratch)
@@ -232,7 +226,7 @@ TEST(Resume, TruncatedStoreRecoversItsWholePointPrefix)
     }
     exp::SweepResult resumed = exp::SweepRunner(opts).run(spec);
     EXPECT_EQ(resumed.resumedPoints, intact);
-    EXPECT_EQ(exp::jsonReport(resumed, true), full);
+    EXPECT_EQ(exp::jsonReport(resumed), full);
 }
 
 TEST(Resume, GridFingerprintIsPinned)

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
 
 #include "channels/thread_channel.hh"
@@ -149,19 +148,6 @@ TEST(Runner, TrialsAndSeedOverride)
     EXPECT_EQ(r.trialsPerPoint, 1);
     EXPECT_EQ(r.baseSeed, 55u);
     EXPECT_EQ(r.trials.size(), 6u);
-}
-
-TEST(Runner, ProgressReachesTotal)
-{
-    std::atomic<std::size_t> last{0};
-    RunnerOptions opts;
-    opts.jobs = 3;
-    opts.progress = [&](std::size_t done, std::size_t total) {
-        EXPECT_LE(done, total);
-        last = done;
-    };
-    SweepRunner(opts).run(rngSpec());
-    EXPECT_EQ(last.load(), 24u);
 }
 
 TEST(Runner, TrialExceptionPropagates)

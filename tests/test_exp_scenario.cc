@@ -18,11 +18,10 @@ namespace
 {
 
 ScenarioSpec
-twoAxisSpec(SweepStyle style)
+twoAxisSpec()
 {
     ScenarioSpec spec;
     spec.name = "two-axis";
-    spec.style = style;
     spec.axes = {axis("a", {1.0, 2.0}), axis("b", {10.0, 20.0})};
     spec.run = [](const TrialContext &) { return MetricMap{}; };
     return spec;
@@ -72,7 +71,7 @@ TEST(Axis, LabeledVariants)
 
 TEST(Expand, CartesianFirstAxisOutermost)
 {
-    auto points = expandPoints(twoAxisSpec(SweepStyle::kCartesian));
+    auto points = expandPoints(twoAxisSpec());
     ASSERT_EQ(points.size(), 4u);
     // Same order as nested for-loops: a outermost, b fastest.
     EXPECT_DOUBLE_EQ(points[0].get("a"), 1.0);
@@ -85,26 +84,9 @@ TEST(Expand, CartesianFirstAxisOutermost)
     EXPECT_DOUBLE_EQ(points[3].get("b"), 20.0);
 }
 
-TEST(Expand, ZipIteratesInLockstep)
-{
-    auto points = expandPoints(twoAxisSpec(SweepStyle::kZip));
-    ASSERT_EQ(points.size(), 2u);
-    EXPECT_DOUBLE_EQ(points[0].get("a"), 1.0);
-    EXPECT_DOUBLE_EQ(points[0].get("b"), 10.0);
-    EXPECT_DOUBLE_EQ(points[1].get("a"), 2.0);
-    EXPECT_DOUBLE_EQ(points[1].get("b"), 20.0);
-}
-
-TEST(Expand, ZipRejectsUnequalLengths)
-{
-    ScenarioSpec spec = twoAxisSpec(SweepStyle::kZip);
-    spec.axes[1] = axis("b", {10.0});
-    EXPECT_THROW(expandPoints(spec), std::invalid_argument);
-}
-
 TEST(Expand, EmptyAxisRejected)
 {
-    ScenarioSpec spec = twoAxisSpec(SweepStyle::kCartesian);
+    ScenarioSpec spec = twoAxisSpec();
     spec.axes[0].values.clear();
     EXPECT_THROW(expandPoints(spec), std::invalid_argument);
 }

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "exp/colstore.hh"
-#include "exp/resume.hh"
 #include "fault/fault.hh"
 #include "state/chunkio.hh"
 
@@ -324,12 +323,7 @@ TEST(FaultSeam, DurableColstorePointSurvivesInjectedTornWrite)
     exp::ScenarioSpec spec;
     spec.name = "fault-grid";
     spec.axes = {exp::axis("x", {1.0, 2.0, 3.0})};
-    exp::SweepMeta meta;
-    meta.scenario = spec.name;
-    meta.baseSeed = 1;
-    meta.trialsPerPoint = 1;
-    meta.points = exp::expandPoints(spec);
-    meta.gridFp = exp::gridFingerprint(meta.points);
+    exp::SweepMeta meta = exp::sweepMeta(spec, /*seed=*/1, /*trials=*/1);
 
     auto recordFor = [&](std::size_t idx) {
         exp::TrialRecord rec;
@@ -345,9 +339,7 @@ TEST(FaultSeam, DurableColstorePointSurvivesInjectedTornWrite)
     fault::arm(fault::parsePlan(
         "site=chunk.write:op=write:occ=1:fault=enospc"));
     {
-        exp::ColumnStoreWriter::Options opts;
-        opts.durable = true;
-        exp::ColumnStoreWriter w(path, opts);
+        exp::ColumnStoreWriter w(path, /*durable=*/true);
         EXPECT_THROW(w.beginSweep(meta), state::ArchiveError);
     }
     fault::disarm();
@@ -362,9 +354,7 @@ TEST(FaultSeam, DurableColstorePointSurvivesInjectedTornWrite)
         "site=chunk.write:op=write:occ=2:fault=eintr;"
         "site=chunk.write:op=write:occ=4:fault=eintr"));
     {
-        exp::ColumnStoreWriter::Options opts;
-        opts.durable = true;
-        exp::ColumnStoreWriter w(path, opts);
+        exp::ColumnStoreWriter w(path, /*durable=*/true);
         w.beginSweep(meta);
         for (std::size_t idx = 0; idx < meta.numPoints(); ++idx) {
             exp::TrialRecord rec = recordFor(idx);

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "exp/colstore.hh"
-#include "exp/resume.hh"
 #include "exp/scenario.hh"
 #include "state/chunkio.hh"
 
@@ -246,14 +245,7 @@ storeMeta()
     spec.name = "torn-matrix-grid";
     spec.description = "torn-write matrix sweep";
     spec.axes = {exp::axis("x", {1.0, 2.0, 3.0})};
-    exp::SweepMeta meta;
-    meta.scenario = spec.name;
-    meta.description = spec.description;
-    meta.baseSeed = 7;
-    meta.trialsPerPoint = 2;
-    meta.points = exp::expandPoints(spec);
-    meta.gridFp = exp::gridFingerprint(meta.points);
-    return meta;
+    return exp::sweepMeta(spec, /*seed=*/7, /*trials=*/2);
 }
 
 std::vector<exp::TrialRecord>
@@ -306,9 +298,7 @@ TEST(TornMatrix, ColumnStoreEveryTruncationOffset)
     {
         // Durable mode: one data frame per point, so every truncation
         // lands either between points or inside the last one.
-        exp::ColumnStoreWriter::Options opts;
-        opts.durable = true;
-        exp::ColumnStoreWriter w(master, opts);
+        exp::ColumnStoreWriter w(master, /*durable=*/true);
         w.beginSweep(meta);
         for (std::size_t idx = 0; idx < meta.numPoints(); ++idx) {
             auto recs = storeRecords(meta, idx);
@@ -365,9 +355,7 @@ TEST(TornMatrix, ColumnStoreEveryTruncationOffset)
         // the missing points are recomputed, and the result must be
         // bit-identical to the never-torn store.
         {
-            exp::ColumnStoreWriter::Options opts;
-            opts.durable = true;
-            exp::ColumnStoreWriter w(path, opts);
+            exp::ColumnStoreWriter w(path, /*durable=*/true);
             w.beginSweep(meta);
             EXPECT_EQ(w.adoptedPoints(), whole);
             for (std::size_t idx = whole; idx < meta.numPoints(); ++idx) {
