@@ -71,27 +71,18 @@ runContender(int which, std::uint64_t seed)
         r = NetSpectre(cfg).transmit(bench::lcgPayload(32, 0xC0FFEE));
         break;
     }
-    case kTurboCC: {
-        TurboCCConfig cfg;
-        cfg.chip = presets::cannonLake();
-        cfg.seed = seed;
-        r = TurboCC(cfg).transmit(bench::lcgPayload(12, 0xC0FFEE));
+    case kTurboCC:
+        r = TurboCC(presets::cannonLake(), seed)
+                .transmit(bench::lcgPayload(12, 0xC0FFEE));
         break;
-    }
-    case kDfsCovert: {
-        DfsCovertConfig cfg;
-        cfg.chip = presets::cannonLake();
-        cfg.seed = seed;
-        r = DfsCovert(cfg).transmit(bench::lcgPayload(8, 0xC0FFEE));
+    case kDfsCovert:
+        r = DfsCovert(presets::cannonLake(), seed)
+                .transmit(bench::lcgPayload(8, 0xC0FFEE));
         break;
-    }
-    case kPowerT: {
-        PowerTConfig cfg;
-        cfg.chip = presets::cannonLake();
-        cfg.seed = seed;
-        r = PowerT(cfg).transmit(bench::lcgPayload(16, 0xC0FFEE));
+    case kPowerT:
+        r = PowerT(presets::cannonLake(), seed)
+                .transmit(bench::lcgPayload(16, 0xC0FFEE));
         break;
-    }
     }
     exp::MetricMap m;
     m["throughput_bps"] = r.throughputBps;

@@ -75,8 +75,7 @@ detectArmEventsPerSec(bool with_bank, int bursts, std::uint64_t seed,
     Simulation sim(presets::cannonLake(), seed);
     std::unique_ptr<detect::DetectorBank> bank;
     if (with_bank)
-        bank = std::make_unique<detect::DetectorBank>(
-            sim.chip(), detect::DetectConfig{});
+        bank = std::make_unique<detect::DetectorBank>(sim.chip());
     for (int c = 0; c < sim.chip().coreCount(); ++c) {
         Program p;
         for (int b = 0; b < bursts; ++b) {

@@ -27,9 +27,7 @@ main()
     NetSpectre ns(cfg);
     double ns_bps = ns.ratedThroughputBps();
 
-    TurboCCConfig tcfg;
-    tcfg.chip = presets::cannonLake();
-    TurboCC tc(tcfg);
+    TurboCC tc(presets::cannonLake(), 1);
     double tc_bps = tc.ratedThroughputBps();
 
     IccCoresCovert ich(cfg);

@@ -5,24 +5,43 @@
 namespace ich
 {
 
-DfsCovert::DfsCovert(DfsCovertConfig cfg) : cfg_(std::move(cfg)) {}
+namespace
+{
+constexpr Time kBitTime = fromMilliseconds(50.0);
+/** Governor write path latency (sysfs + kernel worker + mailbox). */
+constexpr Time kGovernorApplyLatency = fromMilliseconds(20.0);
+// A bit cannot be faster than the governor apply path.
+static_assert(kBitTime > kGovernorApplyLatency,
+              "DFScovert bit time must exceed the governor latency");
+/** Governor targets for bit 0 and bit 1. */
+constexpr double kLowGhz = 1.6;
+constexpr double kHighGhz = 2.8;
+/** Decode window (fraction of the bit time). */
+constexpr double kWindowLo = 0.70;
+constexpr double kWindowHi = 0.98;
+} // namespace
+
+DfsCovert::DfsCovert(ChipConfig chip, std::uint64_t seed)
+    : chip_(std::move(chip)), seed_(seed)
+{
+}
 
 double
 DfsCovert::ratedThroughputBps() const
 {
-    return 1.0 / toSeconds(cfg_.bitTime);
+    return 1.0 / toSeconds(kBitTime);
 }
 
 std::vector<double>
 DfsCovert::runBits(const std::vector<int> &bits)
 {
-    ChipConfig chip = cfg_.chip;
+    ChipConfig chip = chip_;
     chip.pmu.governor.policy = GovernorPolicy::kUserspace;
-    chip.pmu.governor.userspaceGhz = cfg_.lowGhz;
-    chip.pmu.governor.applyLatency = cfg_.governorApplyLatency;
-    Simulation sim(chip, cfg_.seed + (++runCounter_));
+    chip.pmu.governor.userspaceGhz = kLowGhz;
+    chip.pmu.governor.applyLatency = kGovernorApplyLatency;
+    Simulation sim(chip, seed_ + (++runCounter_));
 
-    double bit_us = toMicroseconds(cfg_.bitTime);
+    double bit_us = toMicroseconds(kBitTime);
     Cycles first = static_cast<Cycles>(100.0 * chip.tscGhz * 1e3);
     double bit_tsc = bit_us * chip.tscGhz * 1000.0;
 
@@ -31,35 +50,16 @@ DfsCovert::runBits(const std::vector<int> &bits)
     Chip *chip_ptr = &sim.chip();
     for (std::size_t k = 0; k < bits.size(); ++k) {
         Cycles epoch = first + static_cast<Cycles>(bit_tsc * k);
-        double target = bits[k] ? cfg_.highGhz : cfg_.lowGhz;
+        double target = bits[k] ? kHighGhz : kLowGhz;
         tx.waitUntilTsc(epoch);
         tx.call([chip_ptr, target] {
             chip_ptr->pmu().writeGovernor(GovernorPolicy::kUserspace,
                                           target);
         });
     }
-
-    double total_us = bit_us * (bits.size() + 2) + 200.0;
-    Program rx = baselines::makeFreqReceiverProgram(
-        total_us, cfg_.highGhz, cfg_.chunkIterations);
-
-    HwThread &tx_thr = sim.chip().core(0).thread(0);
-    HwThread &rx_thr = sim.chip().core(1).thread(0);
-    tx_thr.setProgram(std::move(tx));
-    rx_thr.setProgram(std::move(rx));
-    rx_thr.start();
-    tx_thr.start();
-    sim.run(fromMicroseconds(total_us));
-
-    double first_us = toMicroseconds(sim.chip().tscToTime(first));
-    std::vector<double> ghz;
-    for (std::size_t k = 0; k < bits.size(); ++k) {
-        double lo = first_us + bit_us * (k + cfg_.windowLo);
-        double hi = first_us + bit_us * (k + cfg_.windowHi);
-        ghz.push_back(baselines::meanFreqInWindow(
-            rx_thr.records(), cfg_.chunkIterations, lo, hi));
-    }
-    return ghz;
+    return baselines::runFreqReceiver(sim, std::move(tx), bits.size(),
+                                      bit_us, first, kHighGhz, kWindowLo,
+                                      kWindowHi);
 }
 
 void
@@ -90,13 +90,7 @@ DfsCovert::transmit(const BitVec &bits)
         res.receivedBits.push_back(g > threshold_ ? 1 : 0);
         res.tpUs.push_back(g);
     }
-    res.bitErrors = hammingDistance(res.sentBits, res.receivedBits);
-    res.ber = bits.empty()
-                  ? 0.0
-                  : static_cast<double>(res.bitErrors) / bits.size();
-    res.seconds = bits.size() * toSeconds(cfg_.bitTime);
-    res.throughputBps =
-        res.seconds > 0.0 ? bits.size() / res.seconds : 0.0;
+    res.score(bits.size() * toSeconds(kBitTime));
     return res;
 }
 

@@ -18,31 +18,18 @@
 namespace ich
 {
 
-/** DFScovert configuration. */
-struct DfsCovertConfig {
-    ChipConfig chip;
-    std::uint64_t seed = 1;
-    Time bitTime = fromMilliseconds(50.0);
-    /** Governor write path latency (sysfs + kernel worker + mailbox). */
-    Time governorApplyLatency = fromMilliseconds(20.0);
-    double lowGhz = 1.6;
-    double highGhz = 2.8;
-    double windowLo = 0.70;
-    double windowHi = 0.98;
-    std::uint64_t chunkIterations = 2000;
-};
-
 /** Governor-modulation covert channel. */
 class DfsCovert
 {
   public:
-    explicit DfsCovert(DfsCovertConfig cfg);
+    DfsCovert(ChipConfig chip, std::uint64_t seed);
 
     TransmitResult transmit(const BitVec &bits);
     double ratedThroughputBps() const;
 
   private:
-    DfsCovertConfig cfg_;
+    ChipConfig chip_;
+    std::uint64_t seed_;
     double threshold_ = 0.0;
     bool calibrated_ = false;
     std::uint64_t runCounter_ = 0;

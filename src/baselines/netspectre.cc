@@ -90,13 +90,7 @@ NetSpectre::transmit(const BitVec &bits)
         res.receivedBits.push_back(u < threshold_ ? 1 : 0);
         res.tpUs.push_back(u);
     }
-    res.bitErrors = hammingDistance(res.sentBits, res.receivedBits);
-    res.ber = bits.empty()
-                  ? 0.0
-                  : static_cast<double>(res.bitErrors) / bits.size();
-    res.seconds = bits.size() * toSeconds(cfg_.period);
-    res.throughputBps =
-        res.seconds > 0.0 ? bits.size() / res.seconds : 0.0;
+    res.score(bits.size() * toSeconds(cfg_.period));
     return res;
 }
 

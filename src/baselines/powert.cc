@@ -5,12 +5,33 @@
 namespace ich
 {
 
-PowerT::PowerT(PowerTConfig cfg) : cfg_(std::move(cfg)) {}
+namespace
+{
+constexpr Time kBitTime = fromMilliseconds(8.2);
+/** Power-limit controller evaluation interval. */
+constexpr Time kEvalInterval = fromMilliseconds(4.0);
+// The controller needs at least one evaluation to react in each
+// direction; the bit time must cover that cadence.
+static_assert(kBitTime >= 2 * kEvalInterval,
+              "PowerT bit time must cover two controller evaluations");
+/** Fraction of the bit the sender holds its burn loop. */
+constexpr double kHoldFraction = 0.90;
+/** Decode window (fraction of the bit time). */
+constexpr double kWindowLo = 0.55;
+constexpr double kWindowHi = 0.95;
+/** Sender burn class: license-neutral but power-hungry. */
+constexpr InstClass kSenderClass = InstClass::k128Heavy;
+} // namespace
+
+PowerT::PowerT(ChipConfig chip, std::uint64_t seed)
+    : chip_(std::move(chip)), seed_(seed)
+{
+}
 
 double
 PowerT::ratedThroughputBps() const
 {
-    return 1.0 / toSeconds(cfg_.bitTime);
+    return 1.0 / toSeconds(kBitTime);
 }
 
 void
@@ -19,8 +40,8 @@ PowerT::chooseLimit()
     // Project power with (a) only the receiver's scalar loop and (b) the
     // sender's burn loop added, at the top frequency bin; place the
     // limit between so only the burn trips the controller.
-    ChipConfig chip = cfg_.chip;
-    Simulation sim(chip, cfg_.seed);
+    const ChipConfig &chip = chip_;
+    Simulation sim(chip, seed_);
     const ChipPowerModel &pm = sim.chip().pmu().powerModel();
     double f = chip.pmu.pstate.binsGhz.back();
 
@@ -32,8 +53,8 @@ PowerT::chooseLimit()
     std::vector<CoreActivity> burn_act = idle_act;
     burn_act[0].active = true;
     burn_act[0].cdynNf =
-        chip.core.cdynBaseNf + traits(cfg_.senderClass).deltaCdynNf;
-    burn_act[0].gbLevel = traits(cfg_.senderClass).guardbandLevel;
+        chip.core.cdynBaseNf + traits(kSenderClass).deltaCdynNf;
+    burn_act[0].gbLevel = traits(kSenderClass).guardbandLevel;
     double p_burn = pm.powerWatts(f, burn_act);
 
     limitWatts_ = 0.5 * (p_idle + p_burn);
@@ -45,21 +66,21 @@ PowerT::runBits(const std::vector<int> &bits)
     if (limitWatts_ <= 0.0)
         chooseLimit();
 
-    ChipConfig chip = cfg_.chip;
+    ChipConfig chip = chip_;
     chip.pmu.governor.policy = GovernorPolicy::kPerformance;
     chip.pmu.powerLimit.enabled = true;
     chip.pmu.powerLimit.limitWatts = limitWatts_;
-    chip.pmu.powerLimit.evalInterval = cfg_.evalInterval;
-    Simulation sim(chip, cfg_.seed + (++runCounter_));
+    chip.pmu.powerLimit.evalInterval = kEvalInterval;
+    Simulation sim(chip, seed_ + (++runCounter_));
 
     double max_ghz = chip.pmu.pstate.binsGhz.back();
-    double bit_us = toMicroseconds(cfg_.bitTime);
+    double bit_us = toMicroseconds(kBitTime);
     Cycles first = static_cast<Cycles>(100.0 * chip.tscGhz * 1e3);
     double bit_tsc = bit_us * chip.tscGhz * 1000.0;
 
-    double hold_us = bit_us * cfg_.holdFraction;
+    double hold_us = bit_us * kHoldFraction;
     double iter_cycles =
-        makeKernel(cfg_.senderClass, 1, 100).cyclesPerIteration();
+        makeKernel(kSenderClass, 1, 100).cyclesPerIteration();
     // Iterations sized at ~90% of max frequency (cap drops are small).
     auto hold_iters = static_cast<std::uint64_t>(
         hold_us * max_ghz * 0.9 * 1000.0 / iter_cycles);
@@ -69,30 +90,11 @@ PowerT::runBits(const std::vector<int> &bits)
         Cycles epoch = first + static_cast<Cycles>(bit_tsc * k);
         tx.waitUntilTsc(epoch);
         if (bits[k])
-            tx.loop(cfg_.senderClass, hold_iters);
+            tx.loop(kSenderClass, hold_iters);
     }
-
-    double total_us = bit_us * (bits.size() + 2) + 200.0;
-    Program rx = baselines::makeFreqReceiverProgram(total_us, max_ghz,
-                                                    cfg_.chunkIterations);
-
-    HwThread &tx_thr = sim.chip().core(0).thread(0);
-    HwThread &rx_thr = sim.chip().core(1).thread(0);
-    tx_thr.setProgram(std::move(tx));
-    rx_thr.setProgram(std::move(rx));
-    rx_thr.start();
-    tx_thr.start();
-    sim.run(fromMicroseconds(total_us));
-
-    double first_us = toMicroseconds(sim.chip().tscToTime(first));
-    std::vector<double> ghz;
-    for (std::size_t k = 0; k < bits.size(); ++k) {
-        double lo = first_us + bit_us * (k + cfg_.windowLo);
-        double hi = first_us + bit_us * (k + cfg_.windowHi);
-        ghz.push_back(baselines::meanFreqInWindow(
-            rx_thr.records(), cfg_.chunkIterations, lo, hi));
-    }
-    return ghz;
+    return baselines::runFreqReceiver(sim, std::move(tx), bits.size(),
+                                      bit_us, first, max_ghz, kWindowLo,
+                                      kWindowHi);
 }
 
 void
@@ -123,13 +125,7 @@ PowerT::transmit(const BitVec &bits)
         res.receivedBits.push_back(g < threshold_ ? 1 : 0);
         res.tpUs.push_back(g);
     }
-    res.bitErrors = hammingDistance(res.sentBits, res.receivedBits);
-    res.ber = bits.empty()
-                  ? 0.0
-                  : static_cast<double>(res.bitErrors) / bits.size();
-    res.seconds = bits.size() * toSeconds(cfg_.bitTime);
-    res.throughputBps =
-        res.seconds > 0.0 ? bits.size() / res.seconds : 0.0;
+    res.score(bits.size() * toSeconds(kBitTime));
     return res;
 }
 

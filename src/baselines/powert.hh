@@ -18,25 +18,11 @@
 namespace ich
 {
 
-/** PowerT configuration. */
-struct PowerTConfig {
-    ChipConfig chip;
-    std::uint64_t seed = 1;
-    Time bitTime = fromMilliseconds(8.2);
-    Time evalInterval = fromMilliseconds(4.0);
-    double holdFraction = 0.90;
-    double windowLo = 0.55;
-    double windowHi = 0.95;
-    std::uint64_t chunkIterations = 2000;
-    /** Sender burn class: license-neutral but power-hungry. */
-    InstClass senderClass = InstClass::k128Heavy;
-};
-
 /** Power-limit frequency covert channel. */
 class PowerT
 {
   public:
-    explicit PowerT(PowerTConfig cfg);
+    PowerT(ChipConfig chip, std::uint64_t seed);
 
     TransmitResult transmit(const BitVec &bits);
     double ratedThroughputBps() const;
@@ -45,7 +31,8 @@ class PowerT
     double chosenLimitWatts() const { return limitWatts_; }
 
   private:
-    PowerTConfig cfg_;
+    ChipConfig chip_;
+    std::uint64_t seed_;
     double limitWatts_ = 0.0;
     double threshold_ = 0.0;
     bool calibrated_ = false;

@@ -1,29 +1,42 @@
 #include "baselines/turbocc.hh"
 
-#include <cmath>
-
 #include "baselines/freq_receiver.hh"
 
 namespace ich
 {
 
-TurboCC::TurboCC(TurboCCConfig cfg) : cfg_(std::move(cfg)) {}
+namespace
+{
+/** One bit per bit time; must cover license drop + release. */
+constexpr Time kBitTime = fromMilliseconds(16.4);
+/** Fraction of the bit the sender holds the AVX2 loop. */
+constexpr double kHoldFraction = 0.92;
+/** Decode window (fraction of the bit time). */
+constexpr double kWindowLo = 0.80;
+constexpr double kWindowHi = 0.98;
+constexpr InstClass kSenderClass = InstClass::k256Heavy;
+} // namespace
+
+TurboCC::TurboCC(ChipConfig chip, std::uint64_t seed)
+    : chip_(std::move(chip)), seed_(seed)
+{
+}
 
 double
 TurboCC::ratedThroughputBps() const
 {
-    return 1.0 / toSeconds(cfg_.bitTime);
+    return 1.0 / toSeconds(kBitTime);
 }
 
 std::vector<double>
 TurboCC::runBits(const std::vector<int> &bits)
 {
-    ChipConfig chip = cfg_.chip;
+    ChipConfig chip = chip_;
     chip.pmu.governor.policy = GovernorPolicy::kPerformance;
-    Simulation sim(chip, cfg_.seed + (++runCounter_));
+    Simulation sim(chip, seed_ + (++runCounter_));
 
     double max_ghz = chip.pmu.pstate.binsGhz.back();
-    double bit_us = toMicroseconds(cfg_.bitTime);
+    double bit_us = toMicroseconds(kBitTime);
     // TSC cycles per microsecond = tscGhz * 1000.
     Cycles first = static_cast<Cycles>(100.0 * chip.tscGhz * 1e3);
     double bit_tsc = bit_us * chip.tscGhz * 1000.0;
@@ -31,9 +44,9 @@ TurboCC::runBits(const std::vector<int> &bits)
     // Hold duration in sender-loop iterations at the LVL1 license
     // frequency (the frequency while the loop runs).
     double lic1_ghz = chip.pmu.pstate.licenseMaxGhz[1];
-    double hold_us = bit_us * cfg_.holdFraction;
+    double hold_us = bit_us * kHoldFraction;
     double iter_cycles =
-        makeKernel(cfg_.senderClass, 1, 100).cyclesPerIteration();
+        makeKernel(kSenderClass, 1, 100).cyclesPerIteration();
     auto hold_iters = static_cast<std::uint64_t>(
         hold_us * lic1_ghz * 1000.0 / iter_cycles);
 
@@ -42,31 +55,12 @@ TurboCC::runBits(const std::vector<int> &bits)
         Cycles epoch = first + static_cast<Cycles>(bit_tsc * k);
         tx.waitUntilTsc(epoch);
         if (bits[k])
-            tx.loop(cfg_.senderClass, hold_iters);
+            tx.loop(kSenderClass, hold_iters);
         // bit 0: idle until the next epoch's waitUntilTsc
     }
-
-    double total_us = bit_us * (bits.size() + 2) + 200.0;
-    Program rx = baselines::makeFreqReceiverProgram(total_us, max_ghz,
-                                                    cfg_.chunkIterations);
-
-    HwThread &tx_thr = sim.chip().core(0).thread(0);
-    HwThread &rx_thr = sim.chip().core(1).thread(0);
-    tx_thr.setProgram(std::move(tx));
-    rx_thr.setProgram(std::move(rx));
-    rx_thr.start();
-    tx_thr.start();
-    sim.run(fromMicroseconds(total_us));
-
-    double first_us = toMicroseconds(sim.chip().tscToTime(first));
-    std::vector<double> ghz;
-    for (std::size_t k = 0; k < bits.size(); ++k) {
-        double lo = first_us + bit_us * (k + cfg_.windowLo);
-        double hi = first_us + bit_us * (k + cfg_.windowHi);
-        ghz.push_back(baselines::meanFreqInWindow(
-            rx_thr.records(), cfg_.chunkIterations, lo, hi));
-    }
-    return ghz;
+    return baselines::runFreqReceiver(sim, std::move(tx), bits.size(),
+                                      bit_us, first, max_ghz, kWindowLo,
+                                      kWindowHi);
 }
 
 void
@@ -102,13 +96,7 @@ TurboCC::transmit(const BitVec &bits)
         res.receivedBits.push_back(g < threshold_ ? 1 : 0);
         res.tpUs.push_back(g);
     }
-    res.bitErrors = hammingDistance(res.sentBits, res.receivedBits);
-    res.ber = bits.empty()
-                  ? 0.0
-                  : static_cast<double>(res.bitErrors) / bits.size();
-    res.seconds = bits.size() * toSeconds(cfg_.bitTime);
-    res.throughputBps =
-        res.seconds > 0.0 ? bits.size() / res.seconds : 0.0;
+    res.score(bits.size() * toSeconds(kBitTime));
     return res;
 }
 

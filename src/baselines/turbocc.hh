@@ -19,32 +19,18 @@
 namespace ich
 {
 
-/** TurboCC configuration. */
-struct TurboCCConfig {
-    ChipConfig chip;
-    std::uint64_t seed = 1;
-    /** One bit per bitTime; must cover license drop + release. */
-    Time bitTime = fromMilliseconds(16.4);
-    /** Fraction of the bit the sender holds the AVX2 loop. */
-    double holdFraction = 0.92;
-    /** Decode window (fraction of bitTime). */
-    double windowLo = 0.80;
-    double windowHi = 0.98;
-    std::uint64_t chunkIterations = 2000;
-    InstClass senderClass = InstClass::k256Heavy;
-};
-
 /** Turbo-license frequency covert channel. */
 class TurboCC
 {
   public:
-    explicit TurboCC(TurboCCConfig cfg);
+    TurboCC(ChipConfig chip, std::uint64_t seed);
 
     TransmitResult transmit(const BitVec &bits);
     double ratedThroughputBps() const;
 
   private:
-    TurboCCConfig cfg_;
+    ChipConfig chip_;
+    std::uint64_t seed_;
     double threshold_ = 0.0;
     bool calibrated_ = false;
     std::uint64_t runCounter_ = 0;

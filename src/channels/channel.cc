@@ -10,6 +10,17 @@
 namespace ich
 {
 
+namespace
+{
+/** Offset of the per-transaction burst into each transaction window. */
+constexpr Time kBurstOffset = fromMicroseconds(8.0);
+/** Burst length (a few microseconds of PHI execution). */
+constexpr Time kBurstDuration = fromMicroseconds(4.0);
+/** The burst runs on the SMT sibling of the channel's core. */
+constexpr CoreId kBurstCore = 0;
+constexpr int kBurstSmt = 1;
+} // namespace
+
 const char *
 toString(ChannelKind kind)
 {
@@ -36,6 +47,17 @@ makeChannel(ChannelKind kind, const ChannelConfig &cfg)
         return std::make_unique<IccCoresCovert>(cfg);
     }
     throw std::invalid_argument("makeChannel: unknown ChannelKind");
+}
+
+void
+TransmitResult::score(double transfer_seconds)
+{
+    bitErrors = hammingDistance(sentBits, receivedBits);
+    ber = sentBits.empty()
+              ? 0.0
+              : static_cast<double>(bitErrors) / sentBits.size();
+    seconds = transfer_seconds;
+    throughputBps = seconds > 0.0 ? sentBits.size() / seconds : 0.0;
 }
 
 CovertChannel::CovertChannel(ChannelConfig cfg)
@@ -105,13 +127,12 @@ CovertChannel::scheduleBursts(Simulation &sim,
     Chip *chip = &sim.chip();
     // Two events per transmitted symbol — the per-trial hot path.
     for (std::size_t k = 0; k < n_symbols; ++k) {
-        Time when = chip->tscToTime(epochTsc(sim, k)) + cfg_.burst.offset;
+        Time when = chip->tscToTime(epochTsc(sim, k)) + kBurstOffset;
         sim.eq().scheduleChecked(when, [this, chip] {
-            chip->phiStarted(cfg_.burst.core, cfg_.burst.smt,
-                             cfg_.burst.cls);
+            chip->phiStarted(kBurstCore, kBurstSmt, cfg_.burst.cls);
             chip->eventQueue().scheduleInChecked(
-                cfg_.burst.duration, [this, chip] {
-                    chip->kernelEnded(cfg_.burst.core, cfg_.burst.smt,
+                kBurstDuration, [this, chip] {
+                    chip->kernelEnded(kBurstCore, kBurstSmt,
                                       cfg_.burst.cls);
                 });
         });
@@ -174,14 +195,7 @@ CovertChannel::transmit(const BitVec &bits)
             res.receivedBits.push_back(static_cast<std::uint8_t>(rx[0]));
     }
     res.receivedBits.resize(bits.size());
-
-    res.bitErrors = hammingDistance(res.sentBits, res.receivedBits);
-    res.ber = bits.empty()
-                  ? 0.0
-                  : static_cast<double>(res.bitErrors) / bits.size();
-    res.seconds = res.symbolsSent.size() * toSeconds(cfg_.period);
-    res.throughputBps =
-        res.seconds > 0.0 ? bits.size() / res.seconds : 0.0;
+    res.score(res.symbolsSent.size() * toSeconds(cfg_.period));
     return res;
 }
 

@@ -42,20 +42,14 @@ std::unique_ptr<CovertChannel> makeChannel(ChannelKind kind,
 
 /**
  * Deterministic per-transaction application PHI burst (the Fig. 14b
- * error-matrix experiment): one concurrent-app PHI of a fixed class
- * collides with every transaction at a fixed offset into the TX window.
- * Decoding fails exactly when the burst's power level exceeds the
- * channel's symbol level.
+ * error-matrix experiment): one concurrent-app PHI of a fixed class,
+ * on the SMT sibling of core 0, collides with every transaction at a
+ * fixed offset into the TX window. Decoding fails exactly when the
+ * burst's power level exceeds the channel's symbol level.
  */
 struct PerTxnBurst {
     bool enabled = false;
     InstClass cls = InstClass::k256Heavy;
-    /** Offset of the burst into each transaction window. */
-    Time offset = fromMicroseconds(8.0);
-    /** Burst length (a few microseconds of PHI execution). */
-    Time duration = fromMicroseconds(4.0);
-    CoreId core = 0;
-    int smt = 1;
 };
 
 /** Channel configuration. */
@@ -67,15 +61,15 @@ struct ChannelConfig {
     /** Transaction period: TX window + reset-time + down-ramp margin. */
     Time period = fromMicroseconds(710);
     /** Receiver start offset after the sender epoch (cross-core sync). */
-    Time coresReceiverDelay = fromNanoseconds(150);
+    static constexpr Time coresReceiverDelay = fromNanoseconds(150);
     /** Sender PHI loop iterations (sized to outlast its own TP). */
-    std::uint64_t senderIterations = 220;
+    static constexpr std::uint64_t senderIterations = 220;
     /** Receiver probe loop iterations (thread/cores channels). */
-    std::uint64_t probeIterations = 85;
+    static constexpr std::uint64_t probeIterations = 85;
     /** Receiver chunk size in iterations (SMT channel). */
-    std::uint64_t smtChunkIterations = 250;
+    static constexpr std::uint64_t smtChunkIterations = 250;
     /** Training transactions per symbol for calibration. */
-    int calibrationRepeats = 8;
+    static constexpr int calibrationRepeats = 8;
     /** OS noise applied to the receiver's hardware thread. */
     NoiseConfig noise;
     /** Concurrent PHI application noise (free-running Poisson bursts). */
@@ -95,6 +89,12 @@ struct TransmitResult {
     double ber = 0.0;
     double seconds = 0.0;        ///< simulated payload transfer time
     double throughputBps = 0.0;  ///< payload bits / seconds
+
+    /**
+     * Fill bitErrors, ber, seconds and throughputBps from sentBits and
+     * receivedBits for a transfer that took @p transfer_seconds.
+     */
+    void score(double transfer_seconds);
 };
 
 /**

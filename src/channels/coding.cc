@@ -115,42 +115,6 @@ hammingDecode(const BitVec &coded)
     return out;
 }
 
-BitVec
-interleave(const BitVec &bits, int depth)
-{
-    if (depth < 1)
-        throw std::invalid_argument("interleave: depth < 1");
-    std::size_t n = bits.size();
-    auto cols = (n + depth - 1) / static_cast<std::size_t>(depth);
-    BitVec out;
-    out.reserve(n);
-    for (std::size_t c = 0; c < cols; ++c)
-        for (int r = 0; r < depth; ++r) {
-            std::size_t idx = static_cast<std::size_t>(r) * cols + c;
-            if (idx < n)
-                out.push_back(bits[idx]);
-        }
-    return out;
-}
-
-BitVec
-deinterleave(const BitVec &bits, int depth)
-{
-    if (depth < 1)
-        throw std::invalid_argument("deinterleave: depth < 1");
-    std::size_t n = bits.size();
-    auto cols = (n + depth - 1) / static_cast<std::size_t>(depth);
-    BitVec out(n, 0);
-    std::size_t pos = 0;
-    for (std::size_t c = 0; c < cols; ++c)
-        for (int r = 0; r < depth; ++r) {
-            std::size_t idx = static_cast<std::size_t>(r) * cols + c;
-            if (idx < n && pos < n)
-                out[idx] = bits[pos++];
-        }
-    return out;
-}
-
 std::uint16_t
 crc16(const BitVec &bits)
 {

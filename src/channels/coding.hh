@@ -37,21 +37,6 @@ BitVec hammingEncode(const BitVec &bits);
 BitVec hammingDecode(const BitVec &coded);
 ///@}
 
-/**
- * @name Block interleaving
- * The channel's symbol errors corrupt *pairs* of adjacent bits (one
- * 2-bit symbol), which defeats single-error-correcting codes. Writing
- * the codeword into a depth-row block column-wise and reading row-wise
- * spreads a burst across code blocks: adjacent transmitted bits sit
- * ceil(n/depth) positions apart in the codeword, so choose
- * depth ≈ n / code-block-length (e.g. depth = codedBits/7 for
- * Hamming(7,4)).
- */
-///@{
-BitVec interleave(const BitVec &bits, int depth);
-BitVec deinterleave(const BitVec &bits, int depth);
-///@}
-
 /** CRC-16/CCITT-FALSE over a bit vector (MSB-first). */
 std::uint16_t crc16(const BitVec &bits);
 

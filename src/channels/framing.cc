@@ -71,32 +71,22 @@ FramedLink::codeRate() const
 BitVec
 FramedLink::encode(const BitVec &bits) const
 {
-    BitVec coded;
     switch (cfg_.fec) {
       case FecScheme::kNone:
-        coded = bits;
-        break;
+        return bits;
       case FecScheme::kRepetition3:
-        coded = repetitionEncode(bits, 3);
-        break;
+        return repetitionEncode(bits, 3);
       case FecScheme::kRepetition5:
-        coded = repetitionEncode(bits, 5);
-        break;
+        return repetitionEncode(bits, 5);
       case FecScheme::kHamming74:
-        coded = hammingEncode(bits);
-        break;
+        return hammingEncode(bits);
     }
-    if (cfg_.interleaveDepth > 1)
-        coded = interleave(coded, cfg_.interleaveDepth);
-    return coded;
+    return bits;
 }
 
 BitVec
-FramedLink::decode(const BitVec &coded_in) const
+FramedLink::decode(const BitVec &coded) const
 {
-    BitVec coded = cfg_.interleaveDepth > 1
-                       ? deinterleave(coded_in, cfg_.interleaveDepth)
-                       : coded_in;
     switch (cfg_.fec) {
       case FecScheme::kNone:
         return coded;

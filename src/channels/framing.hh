@@ -33,12 +33,6 @@ struct FramingConfig {
     std::size_t frameBits = 64;
     /** Maximum transmissions per frame (1 = no retry). */
     int maxAttempts = 4;
-    /**
-     * Block-interleaver depth (1 = off). The channel's symbol errors
-     * flip *adjacent bit pairs*; interleaving spreads them across
-     * Hamming blocks so single-error correction applies.
-     */
-    int interleaveDepth = 1;
 };
 
 /** Result of a framed transfer. */

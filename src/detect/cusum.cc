@@ -9,15 +9,19 @@ namespace ich
 namespace detect
 {
 
-CusumDetector::CusumDetector(Chip &chip, const CusumParams &p)
-    : Detector(chip), params_(p), warmupLeft_(std::max(1, p.warmupTicks))
+namespace
 {
-}
+/** Allowed drift (slack) around the learned baseline, watts. */
+constexpr double kDriftWatts = 0.75;
+/** Alarm threshold h on the CUSUM statistic, watt-ticks. */
+constexpr double kThreshold = 1.5;
+/** Ticks used to learn the baseline mean power. */
+constexpr int kWarmupTicks = 64;
+} // namespace
 
-double
-CusumDetector::statistic() const
+CusumDetector::CusumDetector(Chip &chip)
+    : Detector(chip), warmupLeft_(kWarmupTicks)
 {
-    return std::max(freePos_, freeNeg_);
 }
 
 void
@@ -27,16 +31,16 @@ CusumDetector::observe(Time now)
     if (warmupLeft_ > 0) {
         warmupSum_ += p;
         if (--warmupLeft_ == 0)
-            mu0_ = warmupSum_ / params_.warmupTicks;
+            mu0_ = warmupSum_ / kWarmupTicks;
         return;
     }
-    double k = params_.driftWatts;
+    double k = kDriftWatts;
     sPos_ = std::max(0.0, sPos_ + (p - mu0_ - k));
     sNeg_ = std::max(0.0, sNeg_ + (mu0_ - p - k));
     freePos_ = std::max(0.0, freePos_ + (p - mu0_ - k));
     freeNeg_ = std::max(0.0, freeNeg_ + (mu0_ - p - k));
     notePeak(std::max(freePos_, freeNeg_));
-    bool above = std::max(sPos_, sNeg_) >= params_.threshold;
+    bool above = std::max(sPos_, sNeg_) >= kThreshold;
     noteAlarmLevel(above, now);
     if (above) {
         // Classic CUSUM restart after an alarm.

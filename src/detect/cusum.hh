@@ -10,7 +10,7 @@
  * below (baseline - drift). The threshold-free peak statistic is the
  * largest S value reached (never reset), so post-hoc ROC thresholding
  * stays monotone; the online alarm path uses the classic
- * reset-on-alarm recursion at the configured threshold.
+ * reset-on-alarm recursion at a fixed threshold.
  */
 
 #ifndef ICH_DETECT_CUSUM_HH
@@ -26,25 +26,18 @@ namespace detect
 class CusumDetector final : public Detector
 {
   public:
-    CusumDetector(Chip &chip, const CusumParams &p);
+    explicit CusumDetector(Chip &chip);
 
     const char *name() const override { return "cusum"; }
-
-    /** max(S+, S-) of the non-resetting statistic, watt-ticks. */
-    double statistic() const override;
-
-    double baselineWatts() const { return mu0_; }
-    bool warmedUp() const { return warmupLeft_ == 0; }
 
   protected:
     void observe(Time now) override;
 
   private:
-    CusumParams params_;
     int warmupLeft_;
     double warmupSum_ = 0.0;
     double mu0_ = 0.0; ///< learned baseline mean power, watts
-    // Resetting recursion (online alarms at the configured threshold).
+    // Resetting recursion (online alarms at the threshold).
     double sPos_ = 0.0;
     double sNeg_ = 0.0;
     // Non-resetting twin (threshold-free peak score for ROC).

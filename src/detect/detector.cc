@@ -4,27 +4,28 @@
 #include "detect/cusum.hh"
 #include "detect/duty.hh"
 #include "detect/sketch.hh"
-#include "measure/daq.hh"
 
 namespace ich
 {
 namespace detect
 {
 
-DetectorBank::DetectorBank(Chip &chip, const DetectConfig &cfg)
-    : chip_(chip), cfg_(cfg)
+namespace
+{
+/**
+ * Tick priority: high, so detectors observe chip state *after* any
+ * same-timestamp housekeeping has applied.
+ */
+constexpr int kTickPriority = 1000;
+} // namespace
+
+DetectorBank::DetectorBank(Chip &chip) : chip_(chip)
 {
     // Fixed construction order: detectors tick in registration order.
-    if (cfg_.enableSketch)
-        detectors_.push_back(std::make_unique<SketchDetector>(
-            chip, cfg_.sketch, cfg_.tickInterval));
-    if (cfg_.enableCusum)
-        detectors_.push_back(
-            std::make_unique<CusumDetector>(chip, cfg_.cusum));
-    if (cfg_.enableDuty)
-        detectors_.push_back(
-            std::make_unique<DutyCycleDetector>(chip, cfg_.duty));
-    TickRate rate{cfg_.tickInterval, 0, cfg_.tickPriority};
+    detectors_.push_back(std::make_unique<SketchDetector>(chip));
+    detectors_.push_back(std::make_unique<CusumDetector>(chip));
+    detectors_.push_back(std::make_unique<DutyCycleDetector>(chip));
+    TickRate rate{kTickInterval, 0, kTickPriority};
     for (auto &d : detectors_)
         chip.ticker().add(*d, rate);
 }
@@ -33,15 +34,6 @@ DetectorBank::~DetectorBank()
 {
     for (auto &d : detectors_)
         chip_.ticker().remove(*d);
-}
-
-Detector *
-DetectorBank::find(const std::string &name)
-{
-    for (auto &d : detectors_)
-        if (name == d->name())
-            return d.get();
-    return nullptr;
 }
 
 exp::MetricMap
@@ -59,16 +51,6 @@ DetectorBank::metrics() const
     }
     m["det_samples"] = static_cast<double>(samples);
     return m;
-}
-
-void
-DetectorBank::addDaqChannels(Daq &daq) const
-{
-    for (const auto &d : detectors_) {
-        Detector *dp = d.get();
-        daq.addChannel(std::string("det_") + d->name() + "_stat",
-                       [dp]() { return dp->statistic(); });
-    }
 }
 
 } // namespace detect

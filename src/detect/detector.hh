@@ -12,10 +12,11 @@
  *
  * Contract (every concrete detector):
  *
- *  - Bounded memory: state is O(config), never O(simulated time).
+ *  - Bounded memory: fixed-size state plus O(cores), never
+ *    O(simulated time).
  *  - Deterministic: no reads of the simulation's Rng (which would
- *    perturb the run) — a detector needing randomness (Nitrosketch
- *    sampling) derives it from its own config seed. Attaching a
+ *    perturb the run), and no randomness of their own — the sketch's
+ *    row hashes come from a fixed detector-local seed. Attaching a
  *    detector never changes channel physics: ticks only *read* chip
  *    state, so BER/TP metrics are identical with and without the bank.
  *
@@ -25,7 +26,7 @@
  *    the detection statistic over the run. ROC curves threshold this
  *    post-hoc, so one simulated trial serves every operating point and
  *    TPR/FPR are monotone in the threshold by construction.
- *  - Online alarms at the *configured* threshold: alarmCount() and
+ *  - Online alarms at the detector's own threshold: alarmCount() and
  *    firstAlarmTime() (time-to-detect), emitted through the
  *    measure/ -> exp/ metric pipeline via DetectorBank::metrics().
  */
@@ -34,7 +35,6 @@
 #define ICH_DETECT_DETECTOR_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/ticker.hh"
@@ -45,7 +45,6 @@ namespace ich
 {
 
 class Chip;
-class Daq;
 
 namespace detect
 {
@@ -53,57 +52,8 @@ namespace detect
 /** firstAlarmTime() when no alarm has fired. */
 constexpr Time kNoAlarm = ~static_cast<Time>(0);
 
-/** Count-min / Nitrosketch-style periodicity detector parameters. */
-struct SketchParams {
-    int depth = 4;    ///< hash rows
-    int width = 512;  ///< counters per row
-    /**
-     * Nitrosketch idiom: update each row independently with this
-     * probability, adding 1/p — bounded update cost at line rate. 1.0
-     * == exact count-min.
-     */
-    double rowSampleProb = 1.0;
-    /** Hash/sampling seed (detector-local; never the sim Rng). */
-    std::uint64_t seed = 0x1CEB00DAULL;
-    /** Alarm when the heaviest key's share of updates reaches this. */
-    double threshold = 0.20;
-    /** Updates required before the dominance score is meaningful. */
-    int minUpdates = 48;
-};
-
-/** CUSUM change-point parameters (RAPL-window package power). */
-struct CusumParams {
-    /** Allowed drift (slack) around the learned baseline, watts. */
-    double driftWatts = 0.75;
-    /** Alarm threshold h on the CUSUM statistic, watt-ticks. */
-    double threshold = 1.5;
-    /** Ticks used to learn the baseline mean power. */
-    int warmupTicks = 64;
-};
-
-/** Throttle duty-cycle residency parameters. */
-struct DutyParams {
-    int windowTicks = 64;
-    /** Alarm when a window's worst per-core residency reaches this. */
-    double threshold = 0.12;
-};
-
-/** Bank-level configuration. */
-struct DetectConfig {
-    /** Observation sampling period (all detectors share one rate). */
-    Time tickInterval = fromMicroseconds(20.0);
-    /**
-     * Tick priority: high, so detectors observe chip state *after*
-     * any same-timestamp housekeeping has applied.
-     */
-    int tickPriority = 1000;
-    bool enableSketch = true;
-    bool enableCusum = true;
-    bool enableDuty = true;
-    SketchParams sketch;
-    CusumParams cusum;
-    DutyParams duty;
-};
+/** Observation sampling period every detector shares. */
+constexpr Time kTickInterval = fromMicroseconds(20.0);
 
 /**
  * Base class for online detectors. Subclasses implement observe() (one
@@ -115,13 +65,13 @@ class Detector : public Clocked
   public:
     explicit Detector(Chip &chip) : chip_(chip) {}
 
-    /** Stable identifier used in metric names and archive sections. */
+    /** Stable identifier used in metric names. */
     virtual const char *name() const = 0;
 
     /** Threshold-free peak detection statistic over the run so far. */
     double score() const { return peakScore_; }
 
-    /** Alarms fired at the configured threshold. */
+    /** Alarms fired at the detector's threshold. */
     std::uint64_t alarmCount() const { return alarms_; }
 
     /** Absolute time of the first alarm, or kNoAlarm. */
@@ -129,9 +79,6 @@ class Detector : public Clocked
 
     /** Observation ticks delivered. */
     std::uint64_t samples() const { return samples_; }
-
-    /** Current (instantaneous) statistic — Daq probe / figures. */
-    virtual double statistic() const = 0;
 
     /** @name Clocked */
     ///@{
@@ -157,7 +104,7 @@ class Detector : public Clocked
 
     /**
      * Feed the alarm edge detector: @p above is "statistic at or over
-     * the configured threshold". Counts rising edges; records the
+     * the detector's threshold". Counts rising edges; records the
      * first alarm time.
      */
     void
@@ -182,31 +129,25 @@ class Detector : public Clocked
 };
 
 /**
- * Owns one set of detectors and their shared Ticker registration.
+ * Owns the sketch, CUSUM and duty detectors and their shared Ticker
+ * registration.
  *
- * The bank registers every enabled detector with the chip's Ticker as
- * members of one rate group, in a fixed order.
+ * The bank registers the three detectors with the chip's Ticker as
+ * members of one rate group (kTickInterval), in that fixed order.
  */
 class DetectorBank
 {
   public:
-    DetectorBank(Chip &chip, const DetectConfig &cfg);
+    explicit DetectorBank(Chip &chip);
     ~DetectorBank();
 
     DetectorBank(const DetectorBank &) = delete;
     DetectorBank &operator=(const DetectorBank &) = delete;
 
-    const DetectConfig &config() const { return cfg_; }
-
-    std::size_t size() const { return detectors_.size(); }
-    Detector &detector(std::size_t i) { return *detectors_.at(i); }
     const Detector &detector(std::size_t i) const
     {
         return *detectors_.at(i);
     }
-
-    /** Look up by Detector::name(); nullptr when absent/disabled. */
-    Detector *find(const std::string &name);
 
     /**
      * Alarm metrics for the exp/ pipeline:
@@ -215,12 +156,8 @@ class DetectorBank
      */
     exp::MetricMap metrics() const;
 
-    /** Register one Daq channel per detector ("det_<name>_stat"). */
-    void addDaqChannels(Daq &daq) const;
-
   private:
     Chip &chip_;
-    DetectConfig cfg_;
     std::vector<std::unique_ptr<Detector>> detectors_;
 };
 

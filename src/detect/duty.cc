@@ -9,9 +9,16 @@ namespace ich
 namespace detect
 {
 
-DutyCycleDetector::DutyCycleDetector(Chip &chip, const DutyParams &p)
-    : Detector(chip), params_(p),
-      throttledTicks_(chip.coreCount(), 0),
+namespace
+{
+/** Observation ticks per residency window. */
+constexpr int kWindowTicks = 64;
+/** Alarm when a window's worst per-core residency reaches this. */
+constexpr double kThreshold = 0.12;
+} // namespace
+
+DutyCycleDetector::DutyCycleDetector(Chip &chip)
+    : Detector(chip), throttledTicks_(chip.coreCount(), 0),
       lastAsserts_(chip.coreCount(), 0)
 {
 }
@@ -26,16 +33,15 @@ DutyCycleDetector::observe(Time now)
             ++throttledTicks_[c];
         lastAsserts_[c] = asserts;
     }
-    if (++windowFill_ < params_.windowTicks)
+    if (++windowFill_ < kWindowTicks)
         return;
     std::uint32_t worst =
         *std::max_element(throttledTicks_.begin(), throttledTicks_.end());
-    lastResidency_ =
-        static_cast<double>(worst) / params_.windowTicks;
+    double residency = static_cast<double>(worst) / kWindowTicks;
     std::fill(throttledTicks_.begin(), throttledTicks_.end(), 0);
     windowFill_ = 0;
-    notePeak(lastResidency_);
-    noteAlarmLevel(lastResidency_ >= params_.threshold, now);
+    notePeak(residency);
+    noteAlarmLevel(residency >= kThreshold, now);
 }
 
 } // namespace detect

@@ -9,10 +9,10 @@
  * observation ticks with throttle activity — the level asserted at the
  * sample instant *or* an assert edge since the previous sample, so
  * pulses shorter than the sampling period still register — inside
- * fixed windows of windowTicks samples; the statistic is the worst
- * per-core residency of the latest completed window. Honest tenants
- * throttle in isolated bursts (low residency); a channel at usable
- * throughput sustains it on its two cores.
+ * fixed-length windows; the statistic is the worst per-core residency
+ * of the latest completed window. Honest tenants throttle in isolated
+ * bursts (low residency); a channel at usable throughput sustains it
+ * on its two cores.
  */
 
 #ifndef ICH_DETECT_DUTY_HH
@@ -30,22 +30,17 @@ namespace detect
 class DutyCycleDetector final : public Detector
 {
   public:
-    DutyCycleDetector(Chip &chip, const DutyParams &p);
+    explicit DutyCycleDetector(Chip &chip);
 
     const char *name() const override { return "duty"; }
-
-    /** Worst per-core residency of the latest completed window. */
-    double statistic() const override { return lastResidency_; }
 
   protected:
     void observe(Time now) override;
 
   private:
-    DutyParams params_;
     std::vector<std::uint32_t> throttledTicks_; ///< per core, this window
     std::vector<std::uint64_t> lastAsserts_;    ///< per core, last sample
     int windowFill_ = 0;
-    double lastResidency_ = 0.0;
 };
 
 } // namespace detect

@@ -22,21 +22,25 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+constexpr int kDepth = 4;   ///< hash rows
+constexpr int kWidth = 512; ///< counters per row
+/** Row-hash seed (detector-local; never the sim Rng). */
+constexpr std::uint64_t kSeed = 0x1CEB00DAULL;
+/** Alarm when the heaviest key's share of updates reaches this. */
+constexpr double kThreshold = 0.20;
+/** Updates required before the dominance score is meaningful. */
+constexpr std::uint64_t kMinUpdates = 48;
+
 } // namespace
 
 // ----------------------------------------------------- CountMinSketch
 
-CountMinSketch::CountMinSketch(int depth, int width,
-                               double row_sample_prob, std::uint64_t seed)
-    : depth_(depth), width_(width), sampleProb_(row_sample_prob),
-      seed_(seed), rngState_(mix64(seed ^ 0xA11CE5ULL))
+CountMinSketch::CountMinSketch(int depth, int width, std::uint64_t seed)
+    : depth_(depth), width_(width), seed_(seed)
 {
     if (depth_ <= 0 || width_ <= 0)
         throw std::invalid_argument("CountMinSketch: depth and width "
                                     "must be positive");
-    if (!(sampleProb_ > 0.0) || sampleProb_ > 1.0)
-        throw std::invalid_argument(
-            "CountMinSketch: rowSampleProb must be in (0, 1]");
     counters_.assign(static_cast<std::size_t>(depth_) * width_, 0.0);
 }
 
@@ -47,29 +51,13 @@ CountMinSketch::cell(int row, std::uint64_t key) const
     return static_cast<std::size_t>(row) * width_ + h % width_;
 }
 
-double
-CountMinSketch::nextUniform()
-{
-    rngState_ = mix64(rngState_);
-    // 53-bit mantissa fraction in [0, 1).
-    return static_cast<double>(rngState_ >> 11) * 0x1.0p-53;
-}
-
 void
 CountMinSketch::update(std::uint64_t key, double w)
 {
     ++updates_;
     total_ += w;
-    if (sampleProb_ >= 1.0) {
-        for (int row = 0; row < depth_; ++row)
-            counters_[cell(row, key)] += w;
-        return;
-    }
-    // Nitrosketch: sample each row independently, add w/p so counter
-    // expectations match the exact sketch.
     for (int row = 0; row < depth_; ++row)
-        if (nextUniform() < sampleProb_)
-            counters_[cell(row, key)] += w / sampleProb_;
+        counters_[cell(row, key)] += w;
 }
 
 double
@@ -84,21 +72,10 @@ CountMinSketch::estimate(std::uint64_t key) const
     return est;
 }
 
-void
-CountMinSketch::reset()
-{
-    counters_.assign(counters_.size(), 0.0);
-    total_ = 0.0;
-    updates_ = 0;
-    rngState_ = mix64(seed_ ^ 0xA11CE5ULL);
-}
-
 // ------------------------------------------------------ SketchDetector
 
-SketchDetector::SketchDetector(Chip &chip, const SketchParams &p,
-                               Time tick_interval)
-    : Detector(chip), params_(p), tickInterval_(tick_interval),
-      sketch_(p.depth, p.width, p.rowSampleProb, p.seed),
+SketchDetector::SketchDetector(Chip &chip)
+    : Detector(chip), sketch_(kDepth, kWidth, kSeed),
       lastAsserts_(chip.coreCount(), 0),
       lastActive_(chip.coreCount(), 0)
 {
@@ -109,7 +86,7 @@ SketchDetector::gapBucket(Time now, Time last) const
 {
     // log2 of the gap in ticks: periodic traffic lands one bucket,
     // Poisson traffic spreads geometrically.
-    std::uint64_t ticks = (now - last) / tickInterval_;
+    std::uint64_t ticks = (now - last) / kTickInterval;
     std::uint32_t b = 0;
     while (ticks > 1) {
         ticks >>= 1;
@@ -123,17 +100,14 @@ SketchDetector::fold(std::uint64_t key)
 {
     sketch_.update(key);
     double est = sketch_.estimate(key);
-    if (est > heavyEstimate_) {
+    if (est > heavyEstimate_)
         heavyEstimate_ = est;
-        heavyKey_ = key;
-    }
 }
 
 double
 SketchDetector::statistic() const
 {
-    if (sketch_.updates() <
-        static_cast<std::uint64_t>(params_.minUpdates))
+    if (sketch_.updates() < kMinUpdates)
         return 0.0;
     return sketch_.totalWeight() > 0.0
                ? heavyEstimate_ / sketch_.totalWeight()
@@ -162,7 +136,7 @@ SketchDetector::observe(Time now)
     }
     double s = statistic();
     notePeak(s);
-    noteAlarmLevel(s >= params_.threshold, now);
+    noteAlarmLevel(s >= kThreshold, now);
 }
 
 } // namespace detect

@@ -11,9 +11,7 @@
  * observed (core, log2-gap-bucket) — and each frequency-transition gap
  * — into a count-min sketch and scores the *dominance* of the heaviest
  * key: heavyEstimate / totalUpdates. Bounded memory (depth × width
- * counters), line-rate updates, no per-flow state — the Nitrosketch
- * recipe, including optional per-row sampled updates with 1/p
- * increments.
+ * counters), line-rate updates, no per-flow state.
  */
 
 #ifndef ICH_DETECT_SKETCH_HH
@@ -30,68 +28,52 @@ namespace detect
 {
 
 /**
- * Count-min sketch with optional Nitrosketch-style per-row sampling.
- * Deterministic: row hashes and the sampling stream derive from the
+ * Count-min sketch. Deterministic: row hashes derive from the
  * constructor seed alone.
  */
 class CountMinSketch
 {
   public:
-    CountMinSketch(int depth, int width, double row_sample_prob,
-                   std::uint64_t seed);
+    CountMinSketch(int depth, int width, std::uint64_t seed);
 
-    /** Fold @p key in with weight @p w (sampled rows add w/p). */
+    /** Fold @p key in with weight @p w. */
     void update(std::uint64_t key, double w = 1.0);
 
-    /** Point estimate (min over rows); >= true count when p == 1. */
+    /** Point estimate (min over rows); never below the true count. */
     double estimate(std::uint64_t key) const;
 
-    /** Total weight folded in (sum of update() weights, unscaled). */
+    /** Total weight folded in (sum of update() weights). */
     double totalWeight() const { return total_; }
 
     std::uint64_t updates() const { return updates_; }
-    int depth() const { return depth_; }
-    int width() const { return width_; }
-
-    void reset();
 
   private:
     int depth_;
     int width_;
-    double sampleProb_;
     std::uint64_t seed_;
     std::vector<double> counters_; ///< depth_ rows of width_
     double total_ = 0.0;
     std::uint64_t updates_ = 0;
-    std::uint64_t rngState_; ///< splitmix64 stream for row sampling
 
     std::size_t cell(int row, std::uint64_t key) const;
-    double nextUniform();
 };
 
 /**
  * Sketch-based periodicity detector. Statistic: share of all folded
  * updates attributed (count-min estimate) to the heaviest key seen so
- * far, in [0, 1]; 0 until SketchParams::minUpdates updates arrived.
+ * far, in [0, 1]; 0 until a minimum number of updates arrived.
  */
 class SketchDetector final : public Detector
 {
   public:
-    SketchDetector(Chip &chip, const SketchParams &p, Time tick_interval);
+    explicit SketchDetector(Chip &chip);
 
     const char *name() const override { return "sketch"; }
-    double statistic() const override;
-
-    const CountMinSketch &sketch() const { return sketch_; }
-    /** Heaviest (core, gap-bucket) key observed (diagnostics). */
-    std::uint64_t heavyKey() const { return heavyKey_; }
 
   protected:
     void observe(Time now) override;
 
   private:
-    SketchParams params_;
-    Time tickInterval_;
     CountMinSketch sketch_;
     /** Per-core throttle-assert counters at the previous tick. */
     std::vector<std::uint64_t> lastAsserts_;
@@ -100,10 +82,10 @@ class SketchDetector final : public Detector
     std::uint64_t lastPstates_ = 0;
     Time lastPstateActive_ = 0;
     double heavyEstimate_ = 0.0;
-    std::uint64_t heavyKey_ = 0;
 
     void fold(std::uint64_t key);
     std::uint32_t gapBucket(Time now, Time last) const;
+    double statistic() const;
 };
 
 } // namespace detect

@@ -18,6 +18,11 @@ TenantConfig::TenantConfig() : chip(presets::skylakeServer()) {}
 namespace
 {
 
+/** Victim: a steady compute tenant on core 2, PHI bursts per second. */
+constexpr double kVictimPhiRatePerSec = 500.0;
+/** The adaptive attacker's slowest duty cycle. */
+constexpr double kMinDuty = 1.0 / 16.0;
+
 /** Everything attached to one trial's Simulation (detached on reset). */
 struct TenantHandles {
     std::unique_ptr<DetectorBank> bank;
@@ -61,7 +66,7 @@ void
 attachTenants(Simulation &sim, const TenantConfig &cfg, Time horizon,
               TenantHandles &h)
 {
-    h.bank = std::make_unique<DetectorBank>(sim.chip(), cfg.detect);
+    h.bank = std::make_unique<DetectorBank>(sim.chip());
 
     auto addApp = [&](double rate, CoreId core, std::uint64_t salt) {
         if (rate <= 0.0)
@@ -80,7 +85,7 @@ attachTenants(Simulation &sim, const TenantConfig &cfg, Time horizon,
         throw std::invalid_argument(
             "runTenantTrial: need >= 4 cores (attacker pair + victim + "
             "neighbors)");
-    addApp(cfg.victimPhiRatePerSec, 2, 0xBEEF);
+    addApp(kVictimPhiRatePerSec, 2, 0xBEEF);
     int free_cores = cores - 3;
     for (int i = 0; i < cfg.honestTenants; ++i)
         addApp(cfg.honestPhiRatePerSec,
@@ -101,7 +106,8 @@ runTenantTrial(const TenantConfig &cfg)
         ccfg.chip = cfg.chip;
         ccfg.seed = cfg.seed;
         ccfg.period = attackerPeriod(cfg);
-        std::unique_ptr<CovertChannel> ch = makeChannel(cfg.kind, ccfg);
+        std::unique_ptr<CovertChannel> ch =
+            makeChannel(ChannelKind::kCores, ccfg);
         // Calibrate unobserved (quiet conditions), then watch the
         // payload run.
         ch->calibration();
@@ -146,7 +152,7 @@ runTenantTrial(const TenantConfig &cfg)
 
 FrontierPoint
 adaptiveDutySearch(const TenantConfig &base, const std::string &detector,
-                   double score_budget, int iters, double min_duty)
+                   double score_budget, int iters)
 {
     std::string key = "det_" + detector + "_score";
     auto eval = [&](double duty) {
@@ -166,10 +172,10 @@ adaptiveDutySearch(const TenantConfig &base, const std::string &detector,
     FrontierPoint full = eval(1.0);
     if (full.feasible)
         return full; // the detector budget doesn't bind at all
-    FrontierPoint best = eval(min_duty);
+    FrontierPoint best = eval(kMinDuty);
     if (!best.feasible)
         return best; // can't hide even at the minimum duty
-    double lo = min_duty, hi = 1.0;
+    double lo = kMinDuty, hi = 1.0;
     for (int i = 0; i < iters; ++i) {
         FrontierPoint mid = eval(0.5 * (lo + hi));
         if (mid.feasible) {

@@ -37,7 +37,6 @@ struct TenantConfig {
     /** Chip preset; defaults to presets::skylakeServer() in the ctor. */
     ChipConfig chip;
     std::uint64_t seed = 1;
-    ChannelKind kind = ChannelKind::kCores;
     bool attackerPresent = true;
     /**
      * Attacker duty cycle in (0, 1]: the transaction period is
@@ -50,9 +49,6 @@ struct TenantConfig {
     int honestTenants = 4;
     /** Poisson PHI burst rate of each honest tenant. */
     double honestPhiRatePerSec = 2000.0;
-    /** Victim: a steady compute tenant on the first free core. */
-    double victimPhiRatePerSec = 500.0;
-    DetectConfig detect;
 
     TenantConfig();
 };
@@ -84,14 +80,14 @@ struct FrontierPoint {
 
 /**
  * Adaptive attacker: bisect the duty cycle (strongest-attacker model —
- * it can observe the deployed detector's score) to the largest duty
- * whose @p detector peak score stays within @p score_budget. Runs
- * @p iters probe trials; each probe is one runTenantTrial().
+ * it can observe the deployed detector's score) between 1/16 and 1 to
+ * the largest duty whose @p detector peak score stays within
+ * @p score_budget. Runs @p iters bisection probes after the two end
+ * points; each probe is one runTenantTrial().
  */
 FrontierPoint adaptiveDutySearch(const TenantConfig &base,
                                  const std::string &detector,
-                                 double score_budget, int iters = 6,
-                                 double min_duty = 1.0 / 16.0);
+                                 double score_budget, int iters);
 
 } // namespace detect
 } // namespace ich

@@ -3,6 +3,16 @@
 namespace ich
 {
 
+namespace
+{
+/** Interrupt service latency bounds (few microseconds, §6.3). */
+constexpr Time kInterruptMin = fromMicroseconds(1.0);
+constexpr Time kInterruptMax = fromMicroseconds(4.0);
+/** Context-switch latency bounds (tens of microseconds, §6.3). */
+constexpr Time kContextSwitchMin = fromMicroseconds(15.0);
+constexpr Time kContextSwitchMax = fromMicroseconds(45.0);
+} // namespace
+
 NoiseInjector::NoiseInjector(Chip &chip, Rng &rng, const NoiseConfig &cfg,
                              CoreId core, int smt)
     : chip_(chip), rng_(rng), cfg_(cfg), core_(core), smt_(smt)
@@ -29,7 +39,7 @@ NoiseInjector::scheduleInterrupt()
     // One event per injected interrupt; rates reach 10k/s in the grids.
     chip_.eventQueue().scheduleChecked(when, [this] {
         ++irqs_;
-        Time dur = rng_.uniformInt(cfg_.interruptMin, cfg_.interruptMax);
+        Time dur = rng_.uniformInt(kInterruptMin, kInterruptMax);
         chip_.core(core_).thread(smt_).stallFor(dur);
         scheduleInterrupt();
     });
@@ -44,8 +54,7 @@ NoiseInjector::scheduleContextSwitch()
         return;
     chip_.eventQueue().scheduleChecked(when, [this] {
         ++ctxs_;
-        Time dur = rng_.uniformInt(cfg_.contextSwitchMin,
-                                   cfg_.contextSwitchMax);
+        Time dur = rng_.uniformInt(kContextSwitchMin, kContextSwitchMax);
         chip_.core(core_).thread(smt_).stallFor(dur);
         scheduleContextSwitch();
     });

@@ -18,19 +18,15 @@
 namespace ich
 {
 
-/** Noise-source configuration. */
+/**
+ * Noise-source configuration. Interrupts stall for 1–4 µs and context
+ * switches for 15–45 µs (§6.3).
+ */
 struct NoiseConfig {
     /** Interrupt arrivals per second per target thread. */
     double interruptRatePerSec = 0.0;
-    /** Interrupt service latency bounds (few microseconds, §6.3). */
-    Time interruptMin = fromMicroseconds(1.0);
-    Time interruptMax = fromMicroseconds(4.0);
-
     /** Context-switch arrivals per second per target thread. */
     double contextSwitchRatePerSec = 0.0;
-    /** Context-switch latency bounds (tens of microseconds, §6.3). */
-    Time contextSwitchMin = fromMicroseconds(15.0);
-    Time contextSwitchMax = fromMicroseconds(45.0);
 };
 
 /**

@@ -1,7 +1,21 @@
 #include "os/phi_app.hh"
 
+#include <iterator>
+
 namespace ich
 {
+
+namespace
+{
+/** Classes the app draws from, uniformly at random. */
+constexpr InstClass kClasses[] = {InstClass::k128Heavy,
+                                  InstClass::k256Light,
+                                  InstClass::k256Heavy,
+                                  InstClass::k512Heavy};
+/** Iterations per burst (burst length ≈ a few microseconds). */
+constexpr std::uint64_t kBurstIterations = 40;
+constexpr int kUnroll = 100;
+} // namespace
 
 PhiApp::PhiApp(Chip &chip, Rng &rng, const PhiAppConfig &cfg, CoreId core,
                int smt)
@@ -13,7 +27,7 @@ void
 PhiApp::start(Time until)
 {
     until_ = until;
-    if (cfg_.phiRatePerSec > 0.0 && !cfg_.classes.empty())
+    if (cfg_.phiRatePerSec > 0.0)
         scheduleBurst();
 }
 
@@ -27,12 +41,12 @@ PhiApp::scheduleBurst()
     // App-PHI bursts fire at up to 1k/s alongside the covert channel.
     chip_.eventQueue().scheduleChecked(when, [this] {
         ++bursts_;
-        InstClass cls = cfg_.classes[rng_.uniformInt(
-            0, cfg_.classes.size() - 1)];
+        InstClass cls =
+            kClasses[rng_.uniformInt(0, std::size(kClasses) - 1)];
         // The burst announces itself to the PMU exactly as an executing
         // loop would: level request at start, hysteresis stamp at end.
         chip_.phiStarted(core_, smt_, cls);
-        Kernel k = makeKernel(cls, cfg_.burstIterations, cfg_.unroll);
+        Kernel k = makeKernel(cls, kBurstIterations, kUnroll);
         double cycles = k.totalCycles();
         Time dur = static_cast<Time>(cycles *
                                      cyclePicos(chip_.freqGhz()));

@@ -12,7 +12,6 @@
 #define ICH_OS_PHI_APP_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "chip/chip.hh"
 #include "common/rng.hh"
@@ -22,17 +21,14 @@
 namespace ich
 {
 
-/** Concurrent-application configuration. */
+/**
+ * Concurrent-application configuration. Each burst runs one of the
+ * 128b_Heavy, 256b_Light, 256b_Heavy and 512b_Heavy classes, drawn
+ * uniformly at random, for a few microseconds.
+ */
 struct PhiAppConfig {
     /** PHI bursts per second (Fig. 14c sweeps 10..10,000). */
     double phiRatePerSec = 0.0;
-    /** Classes the app draws from, uniformly at random. */
-    std::vector<InstClass> classes = {
-        InstClass::k128Heavy, InstClass::k256Light, InstClass::k256Heavy,
-        InstClass::k512Heavy};
-    /** Iterations per burst (burst length ≈ a few microseconds). */
-    std::uint64_t burstIterations = 40;
-    int unroll = 100;
 };
 
 /**

@@ -104,40 +104,5 @@ TEST(Coding, HammingDistance)
     EXPECT_EQ(hammingDistance({1, 1, 1}, {0, 0}), 2u); // shorter size
 }
 
-
-TEST(Coding, InterleaveRoundTrip)
-{
-    BitVec bits;
-    for (int i = 0; i < 29; ++i) // deliberately not a multiple of depth
-        bits.push_back((i * 7) % 3 == 0 ? 1 : 0);
-    for (int depth : {1, 2, 4, 7}) {
-        BitVec inter = interleave(bits, depth);
-        EXPECT_EQ(inter.size(), bits.size());
-        EXPECT_EQ(deinterleave(inter, depth), bits) << depth;
-    }
-}
-
-TEST(Coding, InterleaveSpreadsAdjacentErrors)
-{
-    // A 2-bit burst in the interleaved stream lands in different
-    // Hamming blocks after deinterleaving, so Hamming(7,4) corrects it.
-    // Adjacent transmitted bits sit ceil(n/depth) apart in the
-    // codeword, so depth 2 over 14 coded bits gives stride 7 — exactly
-    // one Hamming block.
-    BitVec bits = {1, 0, 1, 1, 0, 1, 0, 0}; // two nibbles -> 14 coded
-    BitVec coded = hammingEncode(bits);
-    BitVec sent = interleave(coded, 2);
-    sent[4] ^= 1;
-    sent[5] ^= 1; // adjacent burst (one covert symbol error)
-    BitVec back = deinterleave(sent, 2);
-    EXPECT_EQ(hammingDecode(back), bits);
-}
-
-TEST(Coding, InterleaveRejectsBadDepth)
-{
-    EXPECT_THROW(interleave({1}, 0), std::invalid_argument);
-    EXPECT_THROW(deinterleave({1}, 0), std::invalid_argument);
-}
-
 } // namespace
 } // namespace ich

@@ -208,7 +208,7 @@ TEST(FastForward, DetectorBankAttachedByteIdentical)
     for (int legacy = 0; legacy < 2; ++legacy) {
         Simulation sim(tickHeavy(2.0), 17);
         sim.setLegacyPdnEvents(legacy != 0);
-        detect::DetectorBank bank(sim.chip(), detect::DetectConfig{});
+        detect::DetectorBank bank(sim.chip());
         startChunked(sim, 0, 0, InstClass::k512Heavy, 4000, 10, 1);
         sim.run(fromSeconds(1.0));
         collect(sim, sigs[legacy]);

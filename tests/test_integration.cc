@@ -90,23 +90,17 @@ TEST(Integration, Fig12ThroughputRatios)
     NetSpectre ns(cfg);
     EXPECT_NEAR(ich_bps / ns.ratedThroughputBps(), 2.0, 0.05);
 
-    TurboCCConfig tcfg;
-    tcfg.chip = presets::cannonLake();
-    TurboCC tc(tcfg);
+    TurboCC tc(presets::cannonLake(), 1);
     double r_turbo = ich_bps / tc.ratedThroughputBps();
     EXPECT_GT(r_turbo, 35.0); // paper: 47x
     EXPECT_LT(r_turbo, 60.0);
 
-    DfsCovertConfig dcfg;
-    dcfg.chip = presets::cannonLake();
-    DfsCovert dc(dcfg);
+    DfsCovert dc(presets::cannonLake(), 1);
     double r_dfs = ich_bps / dc.ratedThroughputBps();
     EXPECT_GT(r_dfs, 110.0); // paper: 145x
     EXPECT_LT(r_dfs, 180.0);
 
-    PowerTConfig pcfg;
-    pcfg.chip = presets::cannonLake();
-    PowerT pt(pcfg);
+    PowerT pt(presets::cannonLake(), 1);
     double r_pow = ich_bps / pt.ratedThroughputBps();
     EXPECT_GT(r_pow, 20.0); // paper: 24x
     EXPECT_LT(r_pow, 30.0);

@@ -9,6 +9,7 @@
 #include "baselines/netspectre.hh"
 #include "channels/thread_channel.hh"
 #include "chip/presets.hh"
+#include "test_util.hh"
 
 namespace ich
 {
@@ -31,6 +32,8 @@ TEST(NetSpectre, RoundTripErrorFree)
     TransmitResult res = ns.transmit(bits);
     EXPECT_EQ(res.receivedBits, bits);
     EXPECT_EQ(res.bitErrors, 0u);
+    // Pins every tpUs sample, the decoded bits and the rate exactly.
+    EXPECT_EQ(test::transmitDigest(res), 0xA1F7C94E105BDAE0ULL);
 }
 
 TEST(NetSpectre, OneBitPerTransaction)

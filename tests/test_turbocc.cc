@@ -9,34 +9,28 @@
 
 #include "baselines/turbocc.hh"
 #include "chip/presets.hh"
+#include "test_util.hh"
 
 namespace ich
 {
 namespace
 {
 
-TurboCCConfig
-baseConfig()
-{
-    TurboCCConfig cfg;
-    cfg.chip = presets::cannonLake();
-    cfg.seed = 23;
-    return cfg;
-}
-
 TEST(TurboCC, RoundTripErrorFree)
 {
-    TurboCC tc(baseConfig());
+    TurboCC tc(presets::cannonLake(), 23);
     BitVec bits = {1, 0, 1, 1, 0, 1};
     TransmitResult res = tc.transmit(bits);
     EXPECT_EQ(res.receivedBits, bits);
     EXPECT_EQ(res.bitErrors, 0u);
+    // Pins every tpUs sample, the decoded bits and the rate exactly.
+    EXPECT_EQ(test::transmitDigest(res), 0x7ACA0C4694F48470ULL);
 }
 
 TEST(TurboCC, ThroughputNearPaperValue)
 {
     // Fig. 12b: TurboCC ≈ 61 b/s.
-    TurboCC tc(baseConfig());
+    TurboCC tc(presets::cannonLake(), 23);
     EXPECT_GT(tc.ratedThroughputBps(), 45.0);
     EXPECT_LT(tc.ratedThroughputBps(), 80.0);
 }

@@ -6,6 +6,10 @@
 #ifndef ICH_TESTS_TEST_UTIL_HH
 #define ICH_TESTS_TEST_UTIL_HH
 
+#include <cstdint>
+#include <cstring>
+
+#include "channels/channel.hh"
 #include "chip/presets.hh"
 #include "chip/simulation.hh"
 
@@ -109,6 +113,35 @@ throttlePeriodUs(const ChipConfig &cfg, InstClass cls, double freq_ghz,
     double nominal =
         toMicroseconds(kernelPicos(makeKernel(cls, iters, 100), freq_ghz));
     return measured - nominal;
+}
+
+/**
+ * FNV-1a-64 digest of a transfer's exact output: every tpUs value and
+ * then seconds and throughputBps as raw IEEE-754 bits (little-endian),
+ * with the received bits in between. Pins a channel's numbers bit for
+ * bit.
+ */
+inline std::uint64_t
+transmitDigest(const TransmitResult &r)
+{
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    auto byte = [&h](std::uint8_t b) {
+        h ^= b;
+        h *= 0x100000001B3ULL;
+    };
+    auto real = [&byte](double v) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<std::uint8_t>(bits >> (8 * i)));
+    };
+    for (double v : r.tpUs)
+        real(v);
+    for (std::uint8_t b : r.receivedBits)
+        byte(b);
+    real(r.seconds);
+    real(r.throughputBps);
+    return h;
 }
 
 } // namespace test
