@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablation studies for the design choices DESIGN.md §4 calls out, as
+ * Ablation studies for the simulator's main design choices, as
  * declarative scenarios on the exp::SweepRunner (parallel across
  * --jobs workers; see --help for the shared harness flags).
  *

@@ -18,19 +18,11 @@ NetSpectre::ratedThroughputBps() const
 std::vector<double>
 NetSpectre::runBits(const std::vector<int> &bits)
 {
-    ChipConfig chip = cfg_.chip;
-    chip.pmu.governor.policy = GovernorPolicy::kUserspace;
-    chip.pmu.governor.userspaceGhz = cfg_.freqGhz;
-    Simulation sim(chip, cfg_.seed + (++runCounter_));
-
-    double period_cycles =
-        static_cast<double>(cfg_.period) * chip.tscGhz / 1000.0;
-    Cycles first = static_cast<Cycles>(50.0 * chip.tscGhz * 1e3);
+    Simulation sim(pinnedChip(cfg_), cfg_.seed + (++runCounter_));
 
     Program prog;
     for (std::size_t k = 0; k < bits.size(); ++k) {
-        Cycles epoch = first + static_cast<Cycles>(period_cycles * k);
-        prog.waitUntilTsc(epoch);
+        prog.waitUntilTsc(epochTsc(cfg_, k));
         if (bits[k])
             prog.loop(gadgetClass_, cfg_.senderIterations);
         else

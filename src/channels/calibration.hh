@@ -1,16 +1,17 @@
 /**
  * @file
- * Receiver calibration: learn the per-symbol throttling-period ranges
- * (the L1..L4 ranges of Figures 3 and 13) from a training sequence, then
- * decode by nearest mean. The ranges are well separated (> 2 K TSC cycles
- * in the paper's low-noise characterization), so nearest-mean is
- * equivalent to the threshold ranges of Figure 3.
+ * Receiver calibration: learn the per-label throttling-period means from
+ * a training sequence, then decode by nearest mean. The covert channels
+ * label by 2-bit symbol (the L1..L4 ranges of Figures 3 and 13); the
+ * §6.5 instruction spy labels by guardband level. The paper reports its
+ * low-noise level ranges > 2 K TSC cycles apart, where nearest-mean is
+ * equivalent to the threshold ranges of Figure 3; fig13_tp_dist
+ * measures the simulated gaps.
  */
 
 #ifndef ICH_CHANNELS_CALIBRATION_HH
 #define ICH_CHANNELS_CALIBRATION_HH
 
-#include <array>
 #include <vector>
 
 #include "channels/levels.hh"
@@ -18,32 +19,37 @@
 namespace ich
 {
 
-/** Learned per-symbol TP statistics and the decode rule. */
+/** Learned per-label TP statistics and the decode rule. */
 class Calibration
 {
   public:
     /**
-     * Fit from training data: @p tp_us[i] was measured when symbol
-     * @p symbols[i] was sent.
+     * Fit from training data: @p tp_us[i] was measured when label
+     * @p labels[i] was sent. Every label in [0, @p num_labels) must
+     * occur.
      */
-    static Calibration fit(const std::vector<int> &symbols,
-                           const std::vector<double> &tp_us);
-
-    /** Decode one measured TP to the nearest symbol mean. */
-    int decode(double tp_us) const;
-
-    double meanUs(int symbol) const { return means_.at(symbol); }
-    double stddevUs(int symbol) const { return stddevs_.at(symbol); }
+    static Calibration fit(const std::vector<int> &labels,
+                           const std::vector<double> &tp_us,
+                           int num_labels = kNumSymbols);
 
     /**
-     * Smallest gap between adjacent symbol means (µs). Zero-ish means
+     * Decode one measured TP to the label with the nearest mean; a tie
+     * goes to the lower label.
+     */
+    int decode(double tp_us) const;
+
+    double meanUs(int label) const { return means_.at(label); }
+    double stddevUs(int label) const { return stddevs_.at(label); }
+
+    /**
+     * Smallest gap between adjacent label means (µs). Zero-ish means
      * the channel carries no information (e.g. under secure-mode).
      */
     double minSeparationUs() const;
 
   private:
-    std::array<double, kNumSymbols> means_{};
-    std::array<double, kNumSymbols> stddevs_{};
+    std::vector<double> means_;
+    std::vector<double> stddevs_;
 };
 
 } // namespace ich

@@ -49,6 +49,25 @@ makeChannel(ChannelKind kind, const ChannelConfig &cfg)
     throw std::invalid_argument("makeChannel: unknown ChannelKind");
 }
 
+ChipConfig
+pinnedChip(const ChannelConfig &cfg)
+{
+    ChipConfig chip = cfg.chip;
+    chip.pmu.governor.policy = GovernorPolicy::kUserspace;
+    chip.pmu.governor.userspaceGhz = cfg.freqGhz;
+    return chip;
+}
+
+Cycles
+epochTsc(const ChannelConfig &cfg, std::size_t k)
+{
+    auto first = static_cast<Cycles>(50.0 * cfg.chip.tscGhz * 1e3);
+    double period_cycles =
+        static_cast<double>(cfg.period) * cfg.chip.tscGhz / 1000.0;
+    return first +
+           static_cast<Cycles>(period_cycles * static_cast<double>(k));
+}
+
 void
 TransmitResult::score(double transfer_seconds)
 {
@@ -63,33 +82,6 @@ TransmitResult::score(double transfer_seconds)
 CovertChannel::CovertChannel(ChannelConfig cfg)
     : cfg_(std::move(cfg)), map_(symbolMapFor(cfg_.chip))
 {
-}
-
-ChipConfig
-CovertChannel::chipConfigForRun() const
-{
-    ChipConfig chip = cfg_.chip;
-    chip.pmu.governor.policy = GovernorPolicy::kUserspace;
-    chip.pmu.governor.userspaceGhz = cfg_.freqGhz;
-    return chip;
-}
-
-Cycles
-CovertChannel::firstEpochTsc(const Simulation &sim) const
-{
-    (void)sim;
-    // Leave 50 us for initial rail settling and program start skew.
-    return static_cast<Cycles>(toMicroseconds(fromMicroseconds(50.0)) *
-                               cfg_.chip.tscGhz * 1e3);
-}
-
-Cycles
-CovertChannel::epochTsc(const Simulation &sim, std::size_t k) const
-{
-    double period_cycles =
-        static_cast<double>(cfg_.period) * cfg_.chip.tscGhz / 1000.0;
-    return firstEpochTsc(sim) +
-           static_cast<Cycles>(period_cycles * static_cast<double>(k));
 }
 
 double
@@ -127,7 +119,7 @@ CovertChannel::scheduleBursts(Simulation &sim,
     Chip *chip = &sim.chip();
     // Two events per transmitted symbol — the per-trial hot path.
     for (std::size_t k = 0; k < n_symbols; ++k) {
-        Time when = chip->tscToTime(epochTsc(sim, k)) + kBurstOffset;
+        Time when = chip->tscToTime(epochTsc(cfg_, k)) + kBurstOffset;
         sim.eq().scheduleChecked(when, [this, chip] {
             chip->phiStarted(kBurstCore, kBurstSmt, cfg_.burst.cls);
             chip->eventQueue().scheduleInChecked(
@@ -142,12 +134,23 @@ CovertChannel::scheduleBursts(Simulation &sim,
 std::vector<double>
 CovertChannel::runSymbols(const std::vector<int> &symbols, bool with_noise)
 {
-    if (symbols.empty())
+    std::vector<InstClass> sender;
+    sender.reserve(symbols.size());
+    for (int s : symbols)
+        sender.push_back(map_.symbolClasses.at(s));
+    return runClasses(sender, with_noise);
+}
+
+std::vector<double>
+CovertChannel::runClasses(const std::vector<InstClass> &sender,
+                          bool with_noise)
+{
+    if (sender.empty())
         return {};
-    Simulation sim(chipConfigForRun(), cfg_.seed + (++runCounter_));
+    Simulation sim(pinnedChip(cfg_), cfg_.seed + (++runCounter_));
     if (simHooks_.onStart)
         simHooks_.onStart(sim);
-    std::vector<double> tp = runOnSimulation(sim, symbols, with_noise);
+    std::vector<double> tp = runOnSimulation(sim, sender, with_noise);
     if (simHooks_.onFinish)
         simHooks_.onFinish(sim);
     return tp;

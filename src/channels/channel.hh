@@ -78,6 +78,15 @@ struct ChannelConfig {
     PerTxnBurst burst;
 };
 
+/** @p cfg's chip with the governor pinned at the channel frequency. */
+ChipConfig pinnedChip(const ChannelConfig &cfg);
+
+/**
+ * Epoch of transaction @p k in TSC cycles: 50 µs for rail settling and
+ * program start skew, then one @p cfg.period per transaction.
+ */
+Cycles epochTsc(const ChannelConfig &cfg, std::size_t k);
+
 /** Outcome of one transmit() call. */
 struct TransmitResult {
     BitVec sentBits;
@@ -122,6 +131,14 @@ class CovertChannel
     std::vector<double> runSymbols(const std::vector<int> &symbols,
                                    bool with_noise);
 
+    /**
+     * Run one transaction per entry of @p sender, whose sender loop
+     * executes that class, on a fresh Simulation at the pinned chip and
+     * the next run seed; return the receiver's per-transaction TP (µs).
+     */
+    std::vector<double> runClasses(const std::vector<InstClass> &sender,
+                                   bool with_noise);
+
     /** Lazily-computed noise-free calibration. */
     const Calibration &calibration();
 
@@ -153,20 +170,12 @@ class CovertChannel
 
     /**
      * Channel-specific plumbing: install sender/receiver programs for
-     * the given symbol schedule onto @p sim, and return (after the run)
-     * the per-symbol TP measurements.
+     * the given sender loop classes onto @p sim, and return (after the
+     * run) the per-transaction TP measurements.
      */
     virtual std::vector<double>
-    runOnSimulation(Simulation &sim, const std::vector<int> &symbols,
+    runOnSimulation(Simulation &sim, const std::vector<InstClass> &sender,
                     bool with_noise) = 0;
-
-    /** First epoch (TSC cycles) leaving time for rails to settle. */
-    Cycles firstEpochTsc(const Simulation &sim) const;
-    /** Epoch k in TSC cycles. */
-    Cycles epochTsc(const Simulation &sim, std::size_t k) const;
-
-    /** Chip config with the channel's pinned frequency applied. */
-    ChipConfig chipConfigForRun() const;
 
     /** Attach configured noise sources targeting the given thread. */
     struct NoiseHandles {

@@ -15,7 +15,7 @@ IccCoresCovert::IccCoresCovert(ChannelConfig cfg)
 
 std::vector<double>
 IccCoresCovert::runOnSimulation(Simulation &sim,
-                                const std::vector<int> &symbols,
+                                const std::vector<InstClass> &sender,
                                 bool with_noise)
 {
     // Sender: core 0 / SMT 0; Receiver: core 1 / SMT 0. Both busy-wait
@@ -27,10 +27,10 @@ IccCoresCovert::runOnSimulation(Simulation &sim,
 
     Program tx;
     Program rx;
-    for (std::size_t k = 0; k < symbols.size(); ++k) {
-        Cycles epoch = epochTsc(sim, k);
+    for (std::size_t k = 0; k < sender.size(); ++k) {
+        Cycles epoch = epochTsc(cfg_, k);
         tx.waitUntilTsc(epoch);
-        tx.loop(map_.symbolClasses.at(symbols[k]), cfg_.senderIterations);
+        tx.loop(sender[k], cfg_.senderIterations);
 
         rx.waitUntilTsc(epoch + static_cast<Cycles>(delay_cycles));
         rx.mark(static_cast<int>(2 * k));
@@ -44,7 +44,7 @@ IccCoresCovert::runOnSimulation(Simulation &sim,
     rx_thr.setProgram(std::move(rx));
 
     Time horizon = fromMicroseconds(
-        toMicroseconds(cfg_.period) * (symbols.size() + 2));
+        toMicroseconds(cfg_.period) * (sender.size() + 2));
     NoiseHandles noise;
     if (with_noise) {
         // App noise shares the sender's core via its SMT sibling when
@@ -58,11 +58,11 @@ IccCoresCovert::runOnSimulation(Simulation &sim,
     sim.run(horizon);
 
     const auto &recs = rx_thr.records();
-    if (recs.size() != 2 * symbols.size())
+    if (recs.size() != 2 * sender.size())
         throw std::logic_error("IccCoresCovert: missing records");
     std::vector<double> tp_us;
-    tp_us.reserve(symbols.size());
-    for (std::size_t k = 0; k < symbols.size(); ++k)
+    tp_us.reserve(sender.size());
+    for (std::size_t k = 0; k < sender.size(); ++k)
         tp_us.push_back(
             toMicroseconds(recs[2 * k + 1].time - recs[2 * k].time));
     return tp_us;

@@ -27,7 +27,7 @@ class IccCoresCovert : public CovertChannel
 
   protected:
     std::vector<double>
-    runOnSimulation(Simulation &sim, const std::vector<int> &symbols,
+    runOnSimulation(Simulation &sim, const std::vector<InstClass> &sender,
                     bool with_noise) override;
 };
 

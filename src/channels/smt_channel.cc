@@ -24,14 +24,14 @@ IccSMTcovert::IccSMTcovert(ChannelConfig cfg)
 
 std::vector<double>
 IccSMTcovert::runOnSimulation(Simulation &sim,
-                              const std::vector<int> &symbols,
+                              const std::vector<InstClass> &sender,
                               bool with_noise)
 {
     // Sender: core 0 / SMT 0; Receiver: core 0 / SMT 1.
     Program tx;
-    for (std::size_t k = 0; k < symbols.size(); ++k) {
-        tx.waitUntilTsc(epochTsc(sim, k));
-        tx.loop(map_.symbolClasses.at(symbols[k]), cfg_.senderIterations);
+    for (std::size_t k = 0; k < sender.size(); ++k) {
+        tx.waitUntilTsc(epochTsc(cfg_, k));
+        tx.loop(sender[k], cfg_.senderIterations);
     }
 
     // Receiver runs one continuous chunked 64b loop spanning the whole
@@ -40,7 +40,7 @@ IccSMTcovert::runOnSimulation(Simulation &sim,
         makeKernel(map_.smtProbe, 1, kRxUnroll).cyclesPerIteration();
     double iter_us = iter_cycles * cyclePicos(cfg_.freqGhz) * 1e-6;
     double total_us =
-        toMicroseconds(cfg_.period) * (symbols.size() + 1) + 100.0;
+        toMicroseconds(cfg_.period) * (sender.size() + 1) + 100.0;
     auto total_iters =
         static_cast<std::uint64_t>(std::ceil(total_us / iter_us));
 
@@ -68,10 +68,10 @@ IccSMTcovert::runOnSimulation(Simulation &sim,
     double nominal_chunk_us =
         cfg_.smtChunkIterations * iter_us * 1.001;
     double first_epoch_us =
-        toMicroseconds(sim.chip().tscToTime(epochTsc(sim, 0)));
+        toMicroseconds(sim.chip().tscToTime(epochTsc(cfg_, 0)));
     double period_us = toMicroseconds(cfg_.period);
     const auto &recs = rx_thr.records();
-    std::vector<double> tp_us(symbols.size(), 0.0);
+    std::vector<double> tp_us(sender.size(), 0.0);
     Time prev = 0;
     bool have_prev = false;
     for (const auto &rec : recs) {
@@ -86,7 +86,7 @@ IccSMTcovert::runOnSimulation(Simulation &sim,
                 if (rel >= 0.0) {
                     auto k = static_cast<std::size_t>(rel / period_us);
                     double into = rel - k * period_us;
-                    if (k < symbols.size() && into < kWindowUs + 2.0)
+                    if (k < sender.size() && into < kWindowUs + 2.0)
                         tp_us[k] += excess;
                 }
             }

@@ -26,7 +26,7 @@ class IccSMTcovert : public CovertChannel
 
   protected:
     std::vector<double>
-    runOnSimulation(Simulation &sim, const std::vector<int> &symbols,
+    runOnSimulation(Simulation &sim, const std::vector<InstClass> &sender,
                     bool with_noise) override;
 };
 

@@ -1,7 +1,5 @@
 #include "channels/spy.hh"
 
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace ich
@@ -9,177 +7,53 @@ namespace ich
 
 namespace
 {
-constexpr double kWindowUs = 60.0;
-constexpr int kRxUnroll = 20;
+/** Training transactions per guardband level. */
+constexpr int kCalibrationRepeats = 6;
 } // namespace
 
-InstructionSpy::InstructionSpy(ChannelConfig cfg, ChannelKind vantage)
-    : cfg_(std::move(cfg)), vantage_(vantage)
+InstructionSpy::InstructionSpy(const ChannelConfig &cfg,
+                               ChannelKind vantage)
 {
-    if (vantage_ == ChannelKind::kThread)
+    if (vantage == ChannelKind::kThread)
         throw std::invalid_argument(
             "InstructionSpy: vantage must be kSmt or kCores");
-    if (vantage_ == ChannelKind::kSmt && cfg_.chip.core.smtThreads < 2)
-        throw std::invalid_argument("InstructionSpy: chip has no SMT");
-    if (vantage_ == ChannelKind::kCores && cfg_.chip.numCores < 2)
-        throw std::invalid_argument("InstructionSpy: chip has one core");
-}
-
-std::vector<double>
-InstructionSpy::measure(const std::vector<InstClass> &seq)
-{
-    ChipConfig chip = cfg_.chip;
-    chip.pmu.governor.policy = GovernorPolicy::kUserspace;
-    chip.pmu.governor.userspaceGhz = cfg_.freqGhz;
-    Simulation sim(chip, cfg_.seed + (++runCounter_));
-    SymbolMap map = symbolMapFor(chip);
-
-    double period_cycles =
-        static_cast<double>(cfg_.period) * chip.tscGhz / 1000.0;
-    Cycles first = static_cast<Cycles>(50.0 * chip.tscGhz * 1e3);
-    auto epoch = [&](std::size_t k) {
-        return first + static_cast<Cycles>(period_cycles * k);
-    };
-
-    // Victim (unwitting "sender"): one kernel per epoch.
-    Program victim;
-    for (std::size_t k = 0; k < seq.size(); ++k) {
-        victim.waitUntilTsc(epoch(k));
-        victim.loop(seq[k], cfg_.senderIterations);
-    }
-
-    HwThread &victim_thr = sim.chip().core(0).thread(0);
-    victim_thr.setProgram(std::move(victim));
-
-    std::vector<double> tp_us(seq.size(), 0.0);
-    Time horizon = fromMicroseconds(toMicroseconds(cfg_.period) *
-                                    (seq.size() + 2));
-
-    if (vantage_ == ChannelKind::kSmt) {
-        double iter_cycles =
-            makeKernel(map.smtProbe, 1, kRxUnroll).cyclesPerIteration();
-        double iter_us = iter_cycles * cyclePicos(cfg_.freqGhz) * 1e-6;
-        double total_us =
-            toMicroseconds(cfg_.period) * (seq.size() + 1) + 100.0;
-        auto iters =
-            static_cast<std::uint64_t>(std::ceil(total_us / iter_us));
-        Program rx;
-        rx.loopChunked(map.smtProbe, iters, cfg_.smtChunkIterations, 0,
-                       kRxUnroll);
-        HwThread &rx_thr = sim.chip().core(0).thread(1);
-        rx_thr.setProgram(std::move(rx));
-        rx_thr.start();
-        victim_thr.start();
-        sim.run(horizon);
-
-        double nominal = cfg_.smtChunkIterations * iter_us * 1.001;
-        double first_us = toMicroseconds(sim.chip().tscToTime(epoch(0)));
-        double period_us = toMicroseconds(cfg_.period);
-        Time prev = 0;
-        bool have_prev = false;
-        for (const auto &rec : rx_thr.records()) {
-            if (have_prev) {
-                double excess =
-                    toMicroseconds(rec.time - prev) - nominal;
-                if (excess > 0.0) {
-                    double rel =
-                        toMicroseconds(prev) - first_us + 2.0;
-                    if (rel >= 0.0) {
-                        auto k = static_cast<std::size_t>(rel /
-                                                          period_us);
-                        double into = rel - k * period_us;
-                        if (k < seq.size() && into < kWindowUs + 2.0)
-                            tp_us[k] += excess;
-                    }
-                }
-            }
-            prev = rec.time;
-            have_prev = true;
-        }
-    } else {
-        double delay_cycles =
-            static_cast<double>(cfg_.coresReceiverDelay) * chip.tscGhz /
-            1000.0;
-        Program rx;
-        for (std::size_t k = 0; k < seq.size(); ++k) {
-            rx.waitUntilTsc(epoch(k) +
-                            static_cast<Cycles>(delay_cycles));
-            rx.mark(static_cast<int>(2 * k));
-            rx.loop(map.coresProbe, cfg_.probeIterations);
-            rx.mark(static_cast<int>(2 * k + 1));
-        }
-        HwThread &rx_thr = sim.chip().core(1).thread(0);
-        rx_thr.setProgram(std::move(rx));
-        victim_thr.start();
-        rx_thr.start();
-        sim.run(horizon);
-        const auto &recs = rx_thr.records();
-        if (recs.size() != 2 * seq.size())
-            throw std::logic_error("InstructionSpy: missing records");
-        for (std::size_t k = 0; k < seq.size(); ++k)
-            tp_us[k] = toMicroseconds(recs[2 * k + 1].time -
-                                      recs[2 * k].time);
-    }
-    return tp_us;
-}
-
-void
-InstructionSpy::calibrate()
-{
-    // One representative class per guardband level, several repeats.
-    std::vector<InstClass> reps;
-    std::vector<int> levels;
-    for (auto cls : kAllInstClasses) {
-        int lvl = traits(cls).guardbandLevel;
-        if (static_cast<std::size_t>(lvl) >= reps.size()) {
-            reps.push_back(cls);
-            levels.push_back(lvl);
-        }
-    }
-    constexpr int kRepeats = 6;
-    std::vector<InstClass> seq;
-    for (int r = 0; r < kRepeats; ++r)
-        for (auto cls : reps)
-            seq.push_back(cls);
-    std::vector<double> tp = measure(seq);
-
-    levelMeansUs_.assign(numGuardbandLevels(), 0.0);
-    std::vector<int> counts(numGuardbandLevels(), 0);
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        int lvl = traits(seq[i]).guardbandLevel;
-        levelMeansUs_[lvl] += tp[i];
-        ++counts[lvl];
-    }
-    for (std::size_t l = 0; l < levelMeansUs_.size(); ++l)
-        if (counts[l] > 0)
-            levelMeansUs_[l] /= counts[l];
-    calibrated_ = true;
+    channel_ = makeChannel(vantage, cfg);
 }
 
 SpyResult
 InstructionSpy::observe(const std::vector<InstClass> &victim_sequence)
 {
-    if (!calibrated_)
-        calibrate();
+    if (!calibration_) {
+        // One representative class per guardband level, several repeats.
+        std::vector<InstClass> reps;
+        for (auto cls : kAllInstClasses)
+            if (static_cast<std::size_t>(traits(cls).guardbandLevel) >=
+                reps.size())
+                reps.push_back(cls);
+        std::vector<InstClass> training;
+        std::vector<int> levels;
+        for (int r = 0; r < kCalibrationRepeats; ++r) {
+            for (auto cls : reps) {
+                training.push_back(cls);
+                levels.push_back(traits(cls).guardbandLevel);
+            }
+        }
+        calibration_ = Calibration::fit(
+            levels, channel_->runClasses(training, /*with_noise=*/false),
+            numGuardbandLevels());
+    }
 
     SpyResult res;
     res.victimClasses = victim_sequence;
-    std::vector<double> tp = measure(victim_sequence);
+    std::vector<double> tp =
+        channel_->runClasses(victim_sequence, /*with_noise=*/false);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < victim_sequence.size(); ++i) {
         int actual = traits(victim_sequence[i]).guardbandLevel;
-        int best = 0;
-        double best_d = std::numeric_limits<double>::max();
-        for (std::size_t l = 0; l < levelMeansUs_.size(); ++l) {
-            double d = std::fabs(tp[i] - levelMeansUs_[l]);
-            if (d < best_d) {
-                best_d = d;
-                best = static_cast<int>(l);
-            }
-        }
+        int inferred = calibration_->decode(tp[i]);
         res.actualLevels.push_back(actual);
-        res.inferredLevels.push_back(best);
-        if (best == actual)
+        res.inferredLevels.push_back(inferred);
+        if (inferred == actual)
             ++correct;
     }
     res.levelAccuracy = victim_sequence.empty()

@@ -12,6 +12,8 @@
 #ifndef ICH_CHANNELS_SPY_HH
 #define ICH_CHANNELS_SPY_HH
 
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "channels/channel.hh"
@@ -30,29 +32,26 @@ struct SpyResult {
 
 /**
  * Observes a victim's instruction-class sequence from an SMT sibling or
- * another core.
+ * another core. The victim runs where the covert channel's sender would
+ * and the spy is that channel's own receiver, decoding guardband levels
+ * with a nearest-mean Calibration instead of symbols.
  */
 class InstructionSpy
 {
   public:
     /**
      * @param cfg Channel-style configuration (chip, frequency, pacing).
-     * @param vantage kSmt (sibling thread) or kCores (other core).
+     * @param vantage kSmt (sibling thread) or kCores (other core); the
+     *        channel of that kind rejects a chip lacking the resource.
      */
-    InstructionSpy(ChannelConfig cfg, ChannelKind vantage);
+    InstructionSpy(const ChannelConfig &cfg, ChannelKind vantage);
 
     /** Observe one victim kernel per epoch and infer its level. */
     SpyResult observe(const std::vector<InstClass> &victim_sequence);
 
   private:
-    ChannelConfig cfg_;
-    ChannelKind vantage_;
-    std::vector<double> levelMeansUs_;
-    bool calibrated_ = false;
-    std::uint64_t runCounter_ = 0;
-
-    std::vector<double> measure(const std::vector<InstClass> &seq);
-    void calibrate();
+    std::unique_ptr<CovertChannel> channel_;
+    std::optional<Calibration> calibration_;
 };
 
 } // namespace ich

@@ -12,7 +12,8 @@
  *
  * ΔCdyn / RLL / V-F parameters are calibrated so the guardband steps match
  * Fig. 6 (~8 mV per AVX2 core at 2 GHz) and the limit crossovers match
- * Fig. 7a; see DESIGN.md §4.
+ * Fig. 7a; bench/ablation_sweeps probes how sensitive the channels are
+ * to the PDN choices.
  */
 
 #ifndef ICH_CHIP_PRESETS_HH

@@ -100,12 +100,12 @@ runTenantTrial(const TenantConfig &cfg)
 {
     TenantResult res;
     Time horizon = trialHorizon(cfg);
+    ChannelConfig ccfg;
+    ccfg.chip = cfg.chip;
+    ccfg.seed = cfg.seed;
+    ccfg.period = attackerPeriod(cfg);
 
     if (cfg.attackerPresent) {
-        ChannelConfig ccfg;
-        ccfg.chip = cfg.chip;
-        ccfg.seed = cfg.seed;
-        ccfg.period = attackerPeriod(cfg);
         std::unique_ptr<CovertChannel> ch =
             makeChannel(ChannelKind::kCores, ccfg);
         // Calibrate unobserved (quiet conditions), then watch the
@@ -133,12 +133,9 @@ runTenantTrial(const TenantConfig &cfg)
         res.metrics["ber"] = tx.ber;
         res.metrics["throughput_bps"] = tx.throughputBps;
     } else {
-        ChipConfig chip = cfg.chip;
         // Same pinned operating point the channel would use, so the
         // honest-only power/throttle baseline is comparable.
-        chip.pmu.governor.policy = GovernorPolicy::kUserspace;
-        chip.pmu.governor.userspaceGhz = ChannelConfig{}.freqGhz;
-        Simulation sim(chip, cfg.seed);
+        Simulation sim(pinnedChip(ccfg), cfg.seed);
         TenantHandles h;
         attachTenants(sim, cfg, horizon, h);
         // run() would return immediately (no thread programs installed);

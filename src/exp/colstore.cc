@@ -20,19 +20,10 @@ constexpr std::size_t kChunkRecords = 4096;
 
 // ---------------------------------------------------- wire primitives
 
-void
-put32(Buffer &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-put64(Buffer &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+using state::get32;
+using state::get64;
+using state::put32;
+using state::put64;
 
 void
 putString(Buffer &out, const std::string &s)
@@ -66,25 +57,9 @@ class Cursor
     {
     }
 
-    std::uint32_t u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(buf_[off_ + i]) << (8 * i);
-        off_ += 4;
-        return v;
-    }
+    std::uint32_t u32() { return get32(bytes(4)); }
 
-    std::uint64_t u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(buf_[off_ + i]) << (8 * i);
-        off_ += 8;
-        return v;
-    }
+    std::uint64_t u64() { return get64(bytes(8)); }
 
     std::string str()
     {

@@ -38,24 +38,12 @@ Trace::meanValue() const
 double
 Trace::valueAt(Time t) const
 {
-    if (sorted_) {
-        auto it = std::upper_bound(
-            points_.begin(), points_.end(), t,
-            [](Time lhs, const TracePoint &p) { return lhs < p.time; });
-        if (it == points_.begin())
-            return 0.0;
-        return std::prev(it)->value;
-    }
-    // Out-of-order hand-built trace: the historical stop-at-first-
-    // later-sample scan (kept bit-compatible rather than "fixed" —
-    // sorted recordings never take this path).
-    double v = 0.0;
-    for (const auto &p : points_) {
-        if (p.time > t)
-            break;
-        v = p.value;
-    }
-    return v;
+    auto it = std::upper_bound(
+        points_.begin(), points_.end(), t,
+        [](Time lhs, const TracePoint &p) { return lhs < p.time; });
+    if (it == points_.begin())
+        return 0.0;
+    return std::prev(it)->value;
 }
 
 std::string

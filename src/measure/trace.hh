@@ -7,6 +7,7 @@
 #ifndef ICH_MEASURE_TRACE_HH
 #define ICH_MEASURE_TRACE_HH
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,10 +29,15 @@ class Trace
     explicit Trace(std::string name) : name_(std::move(name)) {}
 
     const std::string &name() const { return name_; }
+
+    /**
+     * Append a sample. Samples arrive in non-decreasing time order (the
+     * DAQ samples at each tick's `now`); an earlier one is rejected.
+     */
     void add(Time t, double v)
     {
         if (!points_.empty() && t < points_.back().time)
-            sorted_ = false;
+            throw std::invalid_argument("Trace::add: sample out of order");
         points_.push_back({t, v});
     }
     const std::vector<TracePoint> &points() const { return points_; }
@@ -40,19 +46,12 @@ class Trace
     /** Pre-size the sample buffer (DAQ knows the sample count). */
     void reserve(std::size_t n) { points_.reserve(n); }
 
-    /** True while samples have arrived in non-decreasing time order
-     *  (always the case for DAQ recordings). */
-    bool sorted() const { return sorted_; }
-
     double minValue() const;
     double maxValue() const;
     double meanValue() const;
 
-    /**
-     * Value of the last sample at or before @p t (0 if none).
-     * O(log n) binary search while the series is time-sorted; the
-     * legacy linear scan only for out-of-order hand-built traces.
-     */
+    /** Value of the last sample at or before @p t (0 if none), by
+     *  O(log n) binary search. */
     double valueAt(Time t) const;
 
     /** "time_us value" rows, decimated to at most @p max_rows. */
@@ -61,7 +60,6 @@ class Trace
   private:
     std::string name_;
     std::vector<TracePoint> points_;
-    bool sorted_ = true;
 };
 
 } // namespace ich

@@ -22,23 +22,6 @@ namespace
 constexpr std::size_t kFrameHeaderSize = 4 + 4 + 4; // magic | kind | len
 constexpr std::size_t kFrameTrailerSize = 4;        // crc32(header|body)
 
-void
-put32(Buffer &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-/** Little-endian u32 from bytes: no type punning, no alignment needs. */
-inline std::uint32_t
-get32(const std::uint8_t *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 /**
  * Slice-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320.
  * t[0] is the classic byte-at-a-time table; t[k][i] is the CRC of byte

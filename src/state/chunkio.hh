@@ -61,6 +61,41 @@ class ArchiveError : public std::runtime_error
 using Buffer = std::vector<std::uint8_t>;
 
 /**
+ * The binary codec's little-endian integers, shared by the frame
+ * headers and the column-store chunk bodies. Byte-wise, so no type
+ * punning and no alignment needs.
+ */
+inline void
+put32(Buffer &out, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+inline void
+put64(Buffer &out, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+inline std::uint32_t
+get32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           (static_cast<std::uint32_t>(p[1]) << 8) |
+           (static_cast<std::uint32_t>(p[2]) << 16) |
+           (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+inline std::uint64_t
+get64(const std::uint8_t *p)
+{
+    return static_cast<std::uint64_t>(get32(p)) |
+           (static_cast<std::uint64_t>(get32(p + 4)) << 32);
+}
+
+/**
  * CRC-32 (IEEE 802.3 polynomial) of @p data. @p seed chains calls over
  * discontiguous buffers: crc32(b, nb, crc32(a, na)) == crc32(a || b).
  */

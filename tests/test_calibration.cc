@@ -68,6 +68,11 @@ TEST(Calibration, FitRejectsBadInput)
     // All four symbols must be present.
     EXPECT_THROW(Calibration::fit({0, 1, 2}, {1.0, 2.0, 3.0}),
                  std::invalid_argument);
+    // Labels range over [0, num_labels): the spy fits five levels.
+    std::vector<int> five = {0, 1, 2, 3, 4};
+    std::vector<double> tps = {1.0, 2.0, 3.0, 4.0, 5.0};
+    EXPECT_THROW(Calibration::fit(five, tps), std::invalid_argument);
+    EXPECT_NO_THROW(Calibration::fit(five, tps, 5));
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include "channels/cores_channel.hh"
 #include "chip/presets.hh"
 #include "mitigations/mitigations.hh"
+#include "test_util.hh"
 
 namespace ich
 {
@@ -37,6 +38,8 @@ TEST(CoresChannel, NoiselessRoundTripIsErrorFree)
     TransmitResult res = ch.transmit(bits);
     EXPECT_EQ(res.receivedBits, bits);
     EXPECT_EQ(res.bitErrors, 0u);
+    // Pins every tpUs sample, the decoded bits and the rate exactly.
+    EXPECT_EQ(test::transmitDigest(res), 0x5BB3BC2B0EC170E0ULL);
 }
 
 TEST(CoresChannel, CalibrationLevelsIncreaseWithSenderIntensity)

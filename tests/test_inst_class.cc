@@ -38,8 +38,9 @@ TEST(InstClass, CdynMonotoneWithLevel)
 {
     for (auto a : kAllInstClasses) {
         for (auto b : kAllInstClasses) {
-            if (traits(a).guardbandLevel < traits(b).guardbandLevel)
+            if (traits(a).guardbandLevel < traits(b).guardbandLevel) {
                 EXPECT_LT(traits(a).deltaCdynNf, traits(b).deltaCdynNf);
+            }
         }
     }
 }

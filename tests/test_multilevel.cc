@@ -35,8 +35,9 @@ TEST(MultiLevel, TpGrowsWithIntensity)
         double tp = throttlePeriodUs(cfgAt(1.4), cls, 1.4);
         EXPECT_GE(tp, prev - 0.05)
             << "class " << toString(cls);
-        if (traits(cls).guardbandLevel > 0)
+        if (traits(cls).guardbandLevel > 0) {
             EXPECT_GT(tp, 0.5);
+        }
         prev = tp;
     }
 }
@@ -95,8 +96,9 @@ TEST(MultiLevel, FiveDistinctProbeLevels)
     // the paper's decodability criterion (§6.3).
     double prev = 1e9;
     for (auto &[lvl, us] : by_level) {
-        if (prev < 1e8)
+        if (prev < 1e8) {
             EXPECT_GT(prev - us, 0.8);
+        }
         prev = us;
     }
 }

@@ -8,6 +8,7 @@
 
 #include "channels/smt_channel.hh"
 #include "chip/presets.hh"
+#include "test_util.hh"
 
 namespace ich
 {
@@ -37,6 +38,8 @@ TEST(SmtChannel, NoiselessRoundTripIsErrorFree)
     TransmitResult res = ch.transmit(bits);
     EXPECT_EQ(res.receivedBits, bits);
     EXPECT_EQ(res.bitErrors, 0u);
+    // Pins every tpUs sample, the decoded bits and the rate exactly.
+    EXPECT_EQ(test::transmitDigest(res), 0xEB6E9A457BB7915CULL);
 }
 
 TEST(SmtChannel, CalibrationLevelsIncreaseWithIntensity)

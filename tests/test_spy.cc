@@ -7,6 +7,7 @@
 
 #include "channels/spy.hh"
 #include "chip/presets.hh"
+#include "test_util.hh"
 
 namespace ich
 {
@@ -52,6 +53,12 @@ TEST(Spy, SmtVantageInfersVictimLevels)
     SpyResult res = spy.observe(victim);
     ASSERT_EQ(res.inferredLevels.size(), victim.size());
     EXPECT_GE(res.levelAccuracy, 0.85);
+    // The spy measures with the SMT channel's own receiver: pin its
+    // raw per-transaction excess on a fresh channel, bit for bit.
+    EXPECT_EQ(test::samplesDigest(
+                  makeChannel(ChannelKind::kSmt, baseConfig())
+                      ->runClasses(victim, /*with_noise=*/false)),
+              0xDCE36C568FB91838ULL);
 }
 
 TEST(Spy, CoresVantageInfersVictimLevels)
@@ -64,6 +71,11 @@ TEST(Spy, CoresVantageInfersVictimLevels)
     };
     SpyResult res = spy.observe(victim);
     EXPECT_GE(res.levelAccuracy, 0.80);
+    // Likewise the cores channel's delayed probe.
+    EXPECT_EQ(test::samplesDigest(
+                  makeChannel(ChannelKind::kCores, baseConfig())
+                      ->runClasses(victim, /*with_noise=*/false)),
+              0x9456B5EC1939028DULL);
 }
 
 TEST(Spy, SharedLevelClassesIndistinguishable)

@@ -7,6 +7,7 @@
 
 #include "channels/thread_channel.hh"
 #include "chip/presets.hh"
+#include "test_util.hh"
 
 namespace ich
 {
@@ -30,6 +31,8 @@ TEST(ThreadChannel, NoiselessRoundTripIsErrorFree)
     EXPECT_EQ(res.receivedBits, bits);
     EXPECT_EQ(res.bitErrors, 0u);
     EXPECT_DOUBLE_EQ(res.ber, 0.0);
+    // Pins every tpUs sample, the decoded bits and the rate exactly.
+    EXPECT_EQ(test::transmitDigest(res), 0x45AF66F4E5EE59CCULL);
 }
 
 TEST(ThreadChannel, ThroughputMatchesPaperScale)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for Trace: query semantics (binary-search fast path vs the
- * legacy scan).
+ * Tests for Trace: query semantics (the binary search against a
+ * reference scan) and in-order appends.
  */
 
 #include <gtest/gtest.h>
@@ -65,7 +65,6 @@ TEST(Trace, SortedValueAtMatchesTheLegacyScanEverywhere)
     std::vector<Time> times = {5, 5, 7, 20, 20, 20, 31, 90};
     for (std::size_t i = 0; i < times.size(); ++i)
         t.add(times[i], 1.0 + static_cast<double>(i));
-    ASSERT_TRUE(t.sorted());
 
     auto legacy = [&](Time q) {
         double v = 0.0;
@@ -80,15 +79,15 @@ TEST(Trace, SortedValueAtMatchesTheLegacyScanEverywhere)
         EXPECT_DOUBLE_EQ(t.valueAt(q), legacy(q)) << "at t=" << q;
 }
 
-TEST(Trace, OutOfOrderSamplesKeepLegacySemantics)
+TEST(Trace, OutOfOrderSampleIsRejected)
 {
     Trace t("x");
     t.add(20, 2.0);
-    t.add(10, 1.0); // out of order: DAQ never does this, hand code can
-    EXPECT_FALSE(t.sorted());
-    // Historical scan stops at the first later sample.
-    EXPECT_DOUBLE_EQ(t.valueAt(15), 0.0);
-    EXPECT_DOUBLE_EQ(t.valueAt(25), 1.0);
+    t.add(20, 3.0); // an equal timestamp is in order
+    EXPECT_THROW(t.add(10, 1.0), std::invalid_argument);
+    // The rejected sample left the series as it was.
+    EXPECT_EQ(t.size(), 2u);
+    EXPECT_DOUBLE_EQ(t.valueAt(25), 3.0);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "channels/channel.hh"
 #include "chip/presets.hh"
@@ -115,33 +116,51 @@ throttlePeriodUs(const ChipConfig &cfg, InstClass cls, double freq_ghz,
     return measured - nominal;
 }
 
-/**
- * FNV-1a-64 digest of a transfer's exact output: every tpUs value and
- * then seconds and throughputBps as raw IEEE-754 bits (little-endian),
- * with the received bits in between. Pins a channel's numbers bit for
- * bit.
- */
-inline std::uint64_t
-transmitDigest(const TransmitResult &r)
-{
+/** FNV-1a-64 over bytes and raw IEEE-754 doubles (little-endian). */
+struct Fnv1a {
     std::uint64_t h = 0xCBF29CE484222325ULL;
-    auto byte = [&h](std::uint8_t b) {
+
+    void byte(std::uint8_t b)
+    {
         h ^= b;
         h *= 0x100000001B3ULL;
-    };
-    auto real = [&byte](double v) {
+    }
+
+    void real(double v)
+    {
         std::uint64_t bits;
         std::memcpy(&bits, &v, sizeof bits);
         for (int i = 0; i < 8; ++i)
             byte(static_cast<std::uint8_t>(bits >> (8 * i)));
-    };
+    }
+};
+
+/** Digest of raw measurements (e.g. runClasses' per-transaction TPs). */
+inline std::uint64_t
+samplesDigest(const std::vector<double> &samples)
+{
+    Fnv1a f;
+    for (double v : samples)
+        f.real(v);
+    return f.h;
+}
+
+/**
+ * Digest of a transfer's exact output: every tpUs value and then
+ * seconds and throughputBps as raw bits, with the received bits in
+ * between. Pins a channel's numbers bit for bit.
+ */
+inline std::uint64_t
+transmitDigest(const TransmitResult &r)
+{
+    Fnv1a f;
     for (double v : r.tpUs)
-        real(v);
+        f.real(v);
     for (std::uint8_t b : r.receivedBits)
-        byte(b);
-    real(r.seconds);
-    real(r.throughputBps);
-    return h;
+        f.byte(b);
+    f.real(r.seconds);
+    f.real(r.throughputBps);
+    return f.h;
 }
 
 } // namespace test
