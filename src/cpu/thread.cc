@@ -468,13 +468,20 @@ HwThread::dryRunLoopBoundary(const LoopStep &loop, Time anchor)
     Time a = anchor;
     Time w = a;
     for (int k = 0; k < replayDepth_; ++k) {
-        // loopBoundaryWhen() with the conversions hoisted.
+        // loopBoundaryWhen()'s arithmetic. The segment [a, w) lasts the
+        // integer c + 1 picoseconds, and c + 1.0 is that integer's
+        // correctly rounded double: the value accrueSegment() takes as
+        // static_cast<double>(w - a), so every staged value stays
+        // bit-identical. Taking it from c keeps the double -> Time ->
+        // double round trip off the loop-carried chain (iters -> c ->
+        // exec_ps -> iters) whose latency bounds this loop.
         double target = cap;
         if (chunked && next_rec < target)
             target = next_rec;
         double remaining = std::max(0.0, target - iters);
-        w = a + static_cast<Time>(std::ceil(remaining * iter_ps)) + 1;
-        double exec_ps = static_cast<double>(w - a);
+        double c = std::ceil(remaining * iter_ps);
+        w = a + static_cast<Time>(c) + 1;
+        double exec_ps = c + 1.0;
         iters = std::min(cap, iters + exec_ps / iter_ps);
         PendingBoundary e;
         e.anchor = a;

@@ -6,50 +6,44 @@ namespace ich
 Program &
 Program::loop(InstClass cls, std::uint64_t iterations, int unroll)
 {
-    LoopStep step;
-    step.kernel = makeKernel(cls, iterations, unroll);
-    return add(step);
+    steps_.emplace_back(LoopStep{makeKernel(cls, iterations, unroll)});
+    return *this;
 }
 
 Program &
 Program::loopChunked(InstClass cls, std::uint64_t iterations,
                      std::uint64_t record_every, int tag, int unroll)
 {
-    LoopStep step;
-    step.kernel = makeKernel(cls, iterations, unroll);
-    step.recordEveryIterations = record_every;
-    step.tag = tag;
-    return add(step);
+    steps_.emplace_back(
+        LoopStep{makeKernel(cls, iterations, unroll), record_every, tag});
+    return *this;
 }
 
 Program &
 Program::waitUntilTsc(Cycles tsc)
 {
-    return add(WaitUntilTscStep{tsc});
+    steps_.emplace_back(WaitUntilTscStep{tsc});
+    return *this;
 }
 
 Program &
 Program::idle(Time duration)
 {
-    return add(IdleStep{duration});
+    steps_.emplace_back(IdleStep{duration});
+    return *this;
 }
 
 Program &
 Program::mark(int tag)
 {
-    return add(MarkStep{tag});
+    steps_.emplace_back(MarkStep{tag});
+    return *this;
 }
 
 Program &
 Program::call(std::function<void()> fn)
 {
-    return add(CallStep{std::move(fn)});
-}
-
-Program &
-Program::add(ProgramStep step)
-{
-    steps_.push_back(std::move(step));
+    steps_.emplace_back(CallStep{std::move(fn)});
     return *this;
 }
 

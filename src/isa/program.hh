@@ -83,8 +83,6 @@ class Program
     Program &mark(int tag);
     Program &call(std::function<void()> fn);
 
-    Program &add(ProgramStep step);
-
     bool empty() const { return steps_.empty(); }
     std::size_t size() const { return steps_.size(); }
     const ProgramStep &step(std::size_t i) const { return steps_.at(i); }

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "pmu/pstate.hh"
+
 namespace ich
 {
 
@@ -38,16 +40,6 @@ PowerLimiter::capGhz() const
     return binsGhz_[capIdx_];
 }
 
-std::size_t
-PowerLimiter::indexAtOrBelow(double ghz) const
-{
-    std::size_t idx = 0;
-    for (std::size_t i = 0; i < binsGhz_.size(); ++i)
-        if (binsGhz_[i] <= ghz + 1e-9)
-            idx = i;
-    return idx;
-}
-
 void
 PowerLimiter::evaluate()
 {
@@ -57,7 +49,7 @@ PowerLimiter::evaluate()
     if (setpoint_) {
         // Setpoint controller (RAPL-style): jump to the highest bin
         // whose projected power at current activity fits the budget.
-        std::size_t target = indexAtOrBelow(setpoint_());
+        std::size_t target = binIndexAtOrBelow(setpoint_(), binsGhz_);
         if (avg_watts > cfg_.limitWatts && target < capIdx_)
             capIdx_ = target;
         else if (avg_watts < cfg_.limitWatts * cfg_.raiseBelowFraction &&

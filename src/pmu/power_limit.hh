@@ -76,7 +76,6 @@ class PowerLimiter : public Clocked
     std::uint64_t evals_ = 0;
 
     void evaluate();
-    std::size_t indexAtOrBelow(double ghz) const;
 };
 
 } // namespace ich

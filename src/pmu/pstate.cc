@@ -15,15 +15,26 @@ licenseForGbLevel(int gb_level)
     return 0;
 }
 
+std::size_t
+binIndexAtOrBelow(double ghz, const std::vector<double> &bins_ghz)
+{
+    // partition_point on `b <= limit`, not upper_bound on `limit < b`: a
+    // NaN query then passes no bin and lands on the lowest one.
+    double limit = ghz + 1e-9;
+    auto above =
+        std::partition_point(bins_ghz.begin(), bins_ghz.end(),
+                             [limit](double b) { return b <= limit; });
+    return above == bins_ghz.begin()
+               ? 0
+               : static_cast<std::size_t>(above - bins_ghz.begin()) - 1;
+}
+
 double
 snapDownToBin(double ghz, const std::vector<double> &bins_ghz)
 {
-    double best = bins_ghz.empty() ? ghz : bins_ghz.front();
-    for (double b : bins_ghz) {
-        if (b <= ghz + 1e-9)
-            best = std::max(best, b);
-    }
-    return best;
+    if (bins_ghz.empty())
+        return ghz;
+    return bins_ghz[binIndexAtOrBelow(ghz, bins_ghz)];
 }
 
 } // namespace ich

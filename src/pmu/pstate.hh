@@ -13,6 +13,7 @@
 #define ICH_PMU_PSTATE_HH
 
 #include <array>
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
@@ -37,7 +38,18 @@ struct PstateConfig {
 /** Map a guardband level (0..4) to a turbo license (0..2). */
 int licenseForGbLevel(int gb_level);
 
-/** Snap @p ghz to the nearest bin at or below it (lowest bin if none). */
+/**
+ * Index of the highest bin at or below @p ghz (within 1e-9 GHz), or 0 if
+ * every bin lies above it. A binary search: @p bins_ghz must be
+ * non-empty and ascending, as every preset's bins are.
+ */
+std::size_t binIndexAtOrBelow(double ghz, const std::vector<double> &bins_ghz);
+
+/**
+ * Snap @p ghz to the nearest bin at or below it: the lowest bin if every
+ * bin lies above it, @p ghz itself if there are no bins. Same ascending
+ * precondition as binIndexAtOrBelow().
+ */
 double snapDownToBin(double ghz, const std::vector<double> &bins_ghz);
 
 } // namespace ich

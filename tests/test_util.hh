@@ -19,6 +19,14 @@ namespace ich
 namespace test
 {
 
+/** Every preset: the three §5.1 parts, the server part and the Zen part. */
+inline std::vector<ChipConfig>
+allPresets()
+{
+    return {presets::haswell(), presets::coffeeLake(), presets::cannonLake(),
+            presets::skylakeServer(), presets::zenLike()};
+}
+
 /** Cannon Lake pinned to a fixed frequency (the paper's PoC setup). */
 inline ChipConfig
 pinnedCannonLake(double freq_ghz = 1.4)
