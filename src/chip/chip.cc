@@ -7,7 +7,7 @@ namespace ich
 {
 
 Chip::Chip(EventQueue &eq, Rng &rng, const ChipConfig &cfg)
-    : eq_(eq), rng_(rng), cfg_(cfg), ticker_(eq), thermal_(cfg.thermal)
+    : eq_(eq), rng_(rng), cfg_(cfg), ticker_(eq)
 {
     for (CoreId i = 0; i < cfg_.numCores; ++i)
         cores_.push_back(std::make_unique<Core>(*this, i, cfg_.core));

@@ -29,20 +29,18 @@ cannonLake()
 
     cfg.core.smtThreads = 2;
     cfg.core.cdynBaseNf = 2.4;
-    cfg.core.leakageAmps = 1.0;
     cfg.core.avxGate.present = true;
 
     cfg.pmu.vf = VfCurve{0.55, 0.10};
     cfg.pmu.rllOhm = 1.9e-3;
     cfg.pmu.limits = ElectricalLimits{1.15, 29.0};
+    cfg.pmu.leakagePerCoreAmps = 1.0;
     cfg.pmu.pstate.binsGhz = freqBins(0.8, 3.2);
-    cfg.pmu.pstate.minGhz = 0.8;
     cfg.pmu.pstate.licenseMaxGhz = {3.2, 2.6, 1.8};
     cfg.pmu.governor.policy = GovernorPolicy::kUserspace;
     cfg.pmu.governor.userspaceGhz = 2.2;
     cfg.pmu.vr = VrConfig::motherboard();
     cfg.pmu.vr.commandJitter = fromNanoseconds(200);
-    cfg.pmu.leakagePerCoreAmps = cfg.core.leakageAmps;
     return cfg;
 }
 
@@ -56,20 +54,18 @@ coffeeLake()
 
     cfg.core.smtThreads = 1; // i7-9700K has no SMT (§6.1)
     cfg.core.cdynBaseNf = 2.4;
-    cfg.core.leakageAmps = 1.0;
     cfg.core.avxGate.present = true;
 
     cfg.pmu.vf = VfCurve{0.46, 0.16};
     cfg.pmu.rllOhm = 1.9e-3;
     cfg.pmu.limits = ElectricalLimits{1.27, 100.0};
+    cfg.pmu.leakagePerCoreAmps = 1.0;
     cfg.pmu.pstate.binsGhz = freqBins(0.8, 4.9);
-    cfg.pmu.pstate.minGhz = 0.8;
     cfg.pmu.pstate.licenseMaxGhz = {4.9, 4.3, 4.0};
     cfg.pmu.governor.policy = GovernorPolicy::kUserspace;
     cfg.pmu.governor.userspaceGhz = 3.6;
     cfg.pmu.vr = VrConfig::motherboard();
     cfg.pmu.vr.commandJitter = fromNanoseconds(200);
-    cfg.pmu.leakagePerCoreAmps = cfg.core.leakageAmps;
     return cfg;
 }
 
@@ -83,20 +79,18 @@ haswell()
 
     cfg.core.smtThreads = 2;
     cfg.core.cdynBaseNf = 2.6;
-    cfg.core.leakageAmps = 1.2;
     cfg.core.avxGate.present = false; // AVX PG introduced in Skylake
 
     cfg.pmu.vf = VfCurve{0.50, 0.12};
     cfg.pmu.rllOhm = 1.9e-3;
     cfg.pmu.limits = ElectricalLimits{1.30, 90.0};
+    cfg.pmu.leakagePerCoreAmps = 1.2;
     cfg.pmu.pstate.binsGhz = freqBins(0.8, 3.9);
-    cfg.pmu.pstate.minGhz = 0.8;
     cfg.pmu.pstate.licenseMaxGhz = {3.9, 3.7, 3.5};
     cfg.pmu.governor.policy = GovernorPolicy::kUserspace;
     cfg.pmu.governor.userspaceGhz = 3.5;
     cfg.pmu.vr = VrConfig::integrated(); // FIVR
     cfg.pmu.vr.commandJitter = fromNanoseconds(150);
-    cfg.pmu.leakagePerCoreAmps = cfg.core.leakageAmps;
     return cfg;
 }
 
@@ -110,20 +104,18 @@ skylakeServer()
 
     cfg.core.smtThreads = 2;
     cfg.core.cdynBaseNf = 2.8;
-    cfg.core.leakageAmps = 1.5;
     cfg.core.avxGate.present = true; // AVX PG since Skylake
 
     cfg.pmu.vf = VfCurve{0.52, 0.11};
     cfg.pmu.rllOhm = 1.0e-3; // stiffer server PDN
     cfg.pmu.limits = ElectricalLimits{1.25, 400.0};
+    cfg.pmu.leakagePerCoreAmps = 1.5;
     cfg.pmu.pstate.binsGhz = freqBins(0.8, 3.7);
-    cfg.pmu.pstate.minGhz = 0.8;
     cfg.pmu.pstate.licenseMaxGhz = {3.7, 3.1, 2.5};
     cfg.pmu.governor.policy = GovernorPolicy::kUserspace;
     cfg.pmu.governor.userspaceGhz = 2.1;
     cfg.pmu.vr = VrConfig::integrated(); // FIVR on Skylake-SP
     cfg.pmu.vr.commandJitter = fromNanoseconds(150);
-    cfg.pmu.leakagePerCoreAmps = cfg.core.leakageAmps;
     return cfg;
 }
 
@@ -137,14 +129,13 @@ zenLike()
 
     cfg.core.smtThreads = 2;
     cfg.core.cdynBaseNf = 2.5;
-    cfg.core.leakageAmps = 1.0;
     cfg.core.avxGate.present = true;
 
     cfg.pmu.vf = VfCurve{0.50, 0.13};
     cfg.pmu.rllOhm = 1.6e-3;
     cfg.pmu.limits = ElectricalLimits{1.30, 140.0};
+    cfg.pmu.leakagePerCoreAmps = 1.0;
     cfg.pmu.pstate.binsGhz = freqBins(0.8, 4.4);
-    cfg.pmu.pstate.minGhz = 0.8;
     cfg.pmu.pstate.licenseMaxGhz = {4.4, 4.4, 4.4}; // no AVX licenses
     cfg.pmu.governor.policy = GovernorPolicy::kUserspace;
     cfg.pmu.governor.userspaceGhz = 3.6;
@@ -152,7 +143,6 @@ zenLike()
     cfg.pmu.perCoreVr = true;
     cfg.pmu.vr = VrConfig::lowDropout();
     cfg.pmu.vr.commandJitter = fromNanoseconds(20);
-    cfg.pmu.leakagePerCoreAmps = cfg.core.leakageAmps;
     return cfg;
 }
 

@@ -14,6 +14,10 @@
  * Fig. 6 (~8 mV per AVX2 core at 2 GHz) and the limit crossovers match
  * Fig. 7a; bench/ablation_sweeps probes how sensitive the channels are
  * to the PDN choices.
+ *
+ * A preset sets only what differs between parts; the timings all parts
+ * share are constants beside the code that reads them (EXPERIMENTS.md
+ * "Chip constants").
  */
 
 #ifndef ICH_CHIP_PRESETS_HH

@@ -50,7 +50,6 @@ class Simulation
      * HwThread::setLegacyChunkEvents().
      */
     void setLegacyPdnEvents(bool legacy) { legacyPdnEvents_ = legacy; }
-    bool legacyPdnEvents() const { return legacyPdnEvents_; }
 
   private:
     EventQueue eq_;

@@ -28,8 +28,6 @@ struct CoreConfig {
     PowerGateConfig avxGate;
     /** Baseline (scalar power-virus) dynamic capacitance, nF. */
     double cdynBaseNf = 2.2;
-    /** Per-core leakage current, amps. */
-    double leakageAmps = 1.0;
 };
 
 /** One physical core. */
@@ -50,8 +48,6 @@ class Core
     const ThrottleUnit &throttle() const { return throttle_; }
 
     PowerGate &avxGate() { return avxGate_; }
-
-    const CoreConfig &config() const { return cfg_; }
 
     /** Accrue all threads' progress at their current rates. */
     void touch();
@@ -76,8 +72,6 @@ class Core
      * gbLevel is left 0 for the PMU to fill.
      */
     CoreActivity activity() const;
-
-    double leakageAmps() const { return cfg_.leakageAmps; }
 
   private:
     ChipApi &chip_;

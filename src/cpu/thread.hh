@@ -120,9 +120,6 @@ class HwThread
      */
     void refresh();
 
-    int smtIndex() const { return smtIdx_; }
-    CoreId coreId() const { return coreId_; }
-
     /** Completed iterations of the current loop step (tests); flushed
      *  like records(). */
     double loopIterationsDone() const;

@@ -82,8 +82,6 @@ class ThrottleUnit
      */
     double notDeliveredFraction(int thread, InstClass cls) const;
 
-    const ThrottleConfig &config() const { return cfg_; }
-
     /** Total assert events (stats/tests). */
     std::uint64_t assertCount() const { return asserts_; }
 

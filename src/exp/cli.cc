@@ -11,6 +11,11 @@ namespace exp
 namespace
 {
 
+/** Upper bounds of --jobs and --trials. A sweep starts one thread per
+ *  job, so a larger --jobs buys nothing but a risk of a failed spawn. */
+constexpr std::uint64_t kMaxJobs = 1024;
+constexpr std::uint64_t kMaxTrials = 1'000'000;
+
 std::uint64_t
 parseU64(const std::string &flag, const std::string &text)
 {
@@ -32,10 +37,11 @@ parseU64(const std::string &flag, const std::string &text)
 }
 
 int
-parsePositiveInt(const std::string &flag, const std::string &text)
+parsePositiveInt(const std::string &flag, const std::string &text,
+                 std::uint64_t max)
 {
     std::uint64_t v = parseU64(flag, text);
-    if (v == 0 || v > 1'000'000)
+    if (v == 0 || v > max)
         throw std::invalid_argument(flag + ": value out of range: '" + text +
                                     "'");
     return static_cast<int>(v);
@@ -56,11 +62,11 @@ parseCli(int argc, const char *const *argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--jobs" || arg == "-j") {
-            cli.jobs = parsePositiveInt(arg, next(i, arg));
+            cli.jobs = parsePositiveInt(arg, next(i, arg), kMaxJobs);
         } else if (arg == "--seed") {
             cli.seed = parseU64(arg, next(i, arg));
         } else if (arg == "--trials") {
-            cli.trials = parsePositiveInt(arg, next(i, arg));
+            cli.trials = parsePositiveInt(arg, next(i, arg), kMaxTrials);
         } else if (arg == "--json") {
             cli.json = true;
         } else if (arg == "--csv") {

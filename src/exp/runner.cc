@@ -219,8 +219,17 @@ SweepRunner::runStreaming(const ScenarioSpec &spec, ResultSink &sink) const
     } else {
         std::vector<std::thread> pool;
         pool.reserve(n_workers);
-        for (int i = 0; i < n_workers; ++i)
-            pool.emplace_back(worker);
+        try {
+            for (int i = 0; i < n_workers; ++i)
+                pool.emplace_back(worker);
+        } catch (...) {
+            // Unwinding past a joinable thread would std::terminate:
+            // stop handing out trials and join the workers started.
+            cursor.store(total);
+            for (auto &t : pool)
+                t.join();
+            throw;
+        }
         for (auto &t : pool)
             t.join();
     }

@@ -3,6 +3,12 @@
 namespace ich
 {
 
+namespace
+{
+/** Idle time after which the local PMU re-gates the domain. */
+constexpr Time kIdleCloseDelay = fromMicroseconds(30);
+} // namespace
+
 PowerGate::PowerGate(EventQueue &eq, Rng &rng, const PowerGateConfig &cfg)
     : eq_(eq), rng_(rng), cfg_(cfg), closed_(cfg.present)
 {
@@ -15,7 +21,7 @@ PowerGate::closed() const
         return false;
     if (closed_)
         return true;
-    return users_ == 0 && eq_.now() >= lastUse_ + cfg_.idleCloseDelay;
+    return users_ == 0 && eq_.now() >= lastUse_ + kIdleCloseDelay;
 }
 
 void
@@ -25,7 +31,7 @@ PowerGate::latchIdleClose()
     // mutation now being applied, exactly when the old timer event
     // would have fired.
     if (cfg_.present && !closed_ && users_ == 0 &&
-        eq_.now() >= lastUse_ + cfg_.idleCloseDelay)
+        eq_.now() >= lastUse_ + kIdleCloseDelay)
         closed_ = true;
 }
 
@@ -40,7 +46,7 @@ PowerGate::open()
         return 0;
     closed_ = false;
     ++opens_;
-    return rng_.uniformInt(cfg_.wakeLatencyMin, cfg_.wakeLatencyMax);
+    return rng_.uniformInt(kWakeLatencyMin, kWakeLatencyMax);
 }
 
 Time

@@ -16,8 +16,12 @@
  * Long-running kernels pin the gate with beginUse()/endUse(): the idle
  * countdown starts only when the last user releases the unit. The older
  * open()/touch()-only protocol measured idleness from the *start* of a
- * use period, so a kernel longer than idleCloseDelay had its gate closed
- * underneath it and the next kernel was charged a spurious wake stall.
+ * use period, so a kernel outlasting the idle-close delay had its gate
+ * closed under it and the next kernel was charged a spurious wake stall.
+ *
+ * Only the gate's presence varies by part: the wake-up bounds are
+ * PowerGate constants and the 30 µs idle-close delay is one in
+ * power_gate.cc.
  */
 
 #ifndef ICH_PDN_POWER_GATE_HH
@@ -36,11 +40,6 @@ namespace ich
 struct PowerGateConfig {
     /** Present at all? Haswell has no AVX power gate (§5.4). */
     bool present = true;
-    /** Staggered wake-up latency bounds (paper: 8–15 ns for AVX PG). */
-    Time wakeLatencyMin = fromNanoseconds(8);
-    Time wakeLatencyMax = fromNanoseconds(15);
-    /** Idle time after which the local PMU re-gates the domain. */
-    Time idleCloseDelay = fromMicroseconds(30);
 };
 
 /**
@@ -54,6 +53,10 @@ struct PowerGateConfig {
 class PowerGate
 {
   public:
+    /** Staggered wake-up latency bounds (paper: 8–15 ns for AVX PG). */
+    static constexpr Time kWakeLatencyMin = fromNanoseconds(8);
+    static constexpr Time kWakeLatencyMax = fromNanoseconds(15);
+
     PowerGate(EventQueue &eq, Rng &rng, const PowerGateConfig &cfg);
 
     /** True if the domain is currently gated off (lazily evaluated). */
@@ -79,8 +82,6 @@ class PowerGate
 
     /** Number of open transitions (stats/tests). */
     std::uint64_t openCount() const { return opens_; }
-
-    const PowerGateConfig &config() const { return cfg_; }
 
   private:
     EventQueue &eq_;

@@ -10,7 +10,6 @@ VrConfig
 VrConfig::motherboard()
 {
     VrConfig cfg;
-    cfg.kind = VrKind::kMotherboard;
     cfg.slewVoltsPerSecond = 1000.0;          // 1 mV/us
     cfg.commandLatency = fromMicroseconds(1.0); // SVID serial command
     cfg.settleTime = fromMicroseconds(0.5);
@@ -21,7 +20,6 @@ VrConfig
 VrConfig::integrated()
 {
     VrConfig cfg;
-    cfg.kind = VrKind::kIntegrated;
     cfg.slewVoltsPerSecond = 2500.0;          // 2.5 mV/us (FIVR)
     cfg.commandLatency = fromNanoseconds(200);
     cfg.settleTime = fromNanoseconds(300);
@@ -32,7 +30,6 @@ VrConfig
 VrConfig::lowDropout()
 {
     VrConfig cfg;
-    cfg.kind = VrKind::kLowDropout;
     // ~200 ns/V controlled transition (paper §7 cites [82]); a 30 mV
     // guardband step completes in well under 0.5 us.
     cfg.slewVoltsPerSecond = 200000.0;
@@ -42,10 +39,9 @@ VrConfig::lowDropout()
 }
 
 VoltageRegulator::VoltageRegulator(EventQueue &eq, const VrConfig &cfg,
-                                   double initial_volts, std::string name,
-                                   Rng *rng)
-    : eq_(eq), cfg_(cfg), name_(std::move(name)), rng_(rng),
-      target_(initial_volts), rampFromVolts_(initial_volts)
+                                   double initial_volts, Rng *rng)
+    : eq_(eq), cfg_(cfg), rng_(rng), target_(initial_volts),
+      rampFromVolts_(initial_volts)
 {
 }
 

@@ -17,7 +17,6 @@
 #define ICH_PDN_VR_HH
 
 #include <functional>
-#include <string>
 
 #include "common/event_queue.hh"
 #include "common/rng.hh"
@@ -27,12 +26,8 @@
 namespace ich
 {
 
-/** Regulator kind (selects a default parameterization). */
-enum class VrKind { kMotherboard, kIntegrated, kLowDropout };
-
 /** Voltage regulator configuration. */
 struct VrConfig {
-    VrKind kind = VrKind::kMotherboard;
     /** Ramp slew rate in volts per second (e.g. 1 mV/µs = 1000 V/s). */
     double slewVoltsPerSecond = 1000.0;
     /** Latency from command issue to ramp start (SVID decode, DAC). */
@@ -69,14 +64,10 @@ class VoltageRegulator
      *            cfg.commandJitter > 0.
      */
     VoltageRegulator(EventQueue &eq, const VrConfig &cfg,
-                     double initial_volts, std::string name = "vr",
-                     Rng *rng = nullptr);
+                     double initial_volts, Rng *rng = nullptr);
 
     /** Instantaneous output voltage. */
     double volts() const;
-
-    /** Final target of the in-flight or last transition. */
-    double targetVolts() const { return target_; }
 
     /** True while a transition (command+ramp+settle) is in flight. */
     bool busy() const { return busy_; }
@@ -93,12 +84,9 @@ class VoltageRegulator
      */
     Time transitionTime(double target_volts) const;
 
-    const VrConfig &config() const { return cfg_; }
-
   private:
     EventQueue &eq_;
     VrConfig cfg_;
-    std::string name_;
     Rng *rng_;
 
     double target_;

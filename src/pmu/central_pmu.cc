@@ -10,6 +10,15 @@ namespace ich
 namespace
 {
 constexpr double kGhzEps = 1e-6;
+/** Reset-time: the guardband hysteresis after a core's last PHI. */
+constexpr Time kResetTime = fromMicroseconds(650);
+/** Settling delay before an upclock not caused by a license release. */
+constexpr Time kUpclockDelay = fromMicroseconds(200);
+/** PLL relock + voltage retarget time; cores throttled meanwhile. */
+constexpr Time kPstateTransitionLatency = fromMicroseconds(10);
+/** Delay before re-raising frequency after a license relaxes: the
+ *  multi-millisecond release that makes TurboCC slow. */
+constexpr Time kLicenseReleaseDelay = fromMilliseconds(12);
 } // namespace
 
 CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
@@ -26,7 +35,7 @@ CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
                     TickRate{cfg_.governor.evalInterval, 0, 0});
 
     // Initial frequency: governor request clipped by limits at idle.
-    double desired = governor_.requestGhz(cfg_.pstate.minGhz,
+    double desired = governor_.requestGhz(cfg_.pstate.binsGhz.front(),
                                           cfg_.pstate.binsGhz.back());
     desired = snapDownToBin(desired, cfg_.pstate.binsGhz);
     std::vector<CoreActivity> idle(hooks_.numCores());
@@ -51,8 +60,7 @@ CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
     int domains = cfg_.perCoreVr ? hooks_.numCores() : 1;
     for (int d = 0; d < domains; ++d) {
         vrs_.push_back(std::make_unique<VoltageRegulator>(
-            eq_, cfg_.vr, computeDomainTarget(d),
-            "vr" + std::to_string(d), &rng_));
+            eq_, cfg_.vr, computeDomainTarget(d), &rng_));
         svids_.push_back(std::make_unique<Svid>(eq_, *vrs_.back()));
     }
 
@@ -215,7 +223,7 @@ CentralPmu::scheduleDecay(CoreId core)
     // re-arms. Extending the hysteresis window on every PHI is
     // therefore free — no deschedule/schedule pair per PHI.
     Time when = std::max(eq_.now() + fromMicroseconds(1),
-                         cs.lastPhi + cfg_.resetTime);
+                         cs.lastPhi + kResetTime);
     cs.decay.arm(eq_, when, [this, core] { decayCheck(core); });
 }
 
@@ -224,7 +232,7 @@ CentralPmu::decayCheck(CoreId core)
 {
     auto &cs = coreState_.at(core);
     cs.decay.fired();
-    if (eq_.now() < cs.lastPhi + cfg_.resetTime) {
+    if (eq_.now() < cs.lastPhi + kResetTime) {
         scheduleDecay(core);
         return;
     }
@@ -274,24 +282,32 @@ CentralPmu::writeGovernor(GovernorPolicy policy, double userspace_ghz)
                    });
 }
 
+CentralPmu::FreqTarget
+CentralPmu::targetFreq()
+{
+    const auto &bins = cfg_.pstate.binsGhz;
+    double gov = governor_.requestGhz(bins.front(), bins.back());
+    double cap = powerLimiter_->capGhz();
+    int license = licenseForGbLevel(maxLevelAllCores());
+    double limit =
+        powerModel_.maxFreqGhz(activityWithLevels(), cfg_.limits, bins);
+    // Snapping is monotone: the least of the snapped caps is the
+    // snapped least cap.
+    double nolicense =
+        std::min(snapDownToBin(std::min(gov, cap), bins), limit);
+    return {std::min(nolicense,
+                     snapDownToBin(cfg_.pstate.licenseMaxGhz[license],
+                                   bins)),
+            nolicense};
+}
+
 void
 CentralPmu::reevaluateFreq()
 {
     if (pstateInFlight_)
         return;
-    double gov = governor_.requestGhz(cfg_.pstate.minGhz,
-                                      cfg_.pstate.binsGhz.back());
-    double cap = powerLimiter_->capGhz();
-    int license = licenseForGbLevel(maxLevelAllCores());
-    double license_cap = cfg_.pstate.licenseMaxGhz[license];
-
-    double limit = powerModel_.maxFreqGhz(activityWithLevels(),
-                                          cfg_.limits,
-                                          cfg_.pstate.binsGhz);
-    double nolicense = std::min(
-        snapDownToBin(std::min(gov, cap), cfg_.pstate.binsGhz), limit);
-    double desired = std::min(
-        nolicense, snapDownToBin(license_cap, cfg_.pstate.binsGhz));
+    FreqTarget target = targetFreq();
+    double desired = target.ghz;
 
     if (desired < freqGhz_ - kGhzEps) {
         if (upclockEvent_ != EventQueue::kInvalidEvent) {
@@ -300,7 +316,7 @@ CentralPmu::reevaluateFreq()
         }
         // Remember whether the license was the (strictly) binding
         // constraint: its relaxation is slow (milliseconds).
-        licenseCausedDownclock_ = desired < nolicense - kGhzEps;
+        licenseCausedDownclock_ = desired < target.noLicenseGhz - kGhzEps;
         startPstateTransition(desired);
     } else if (desired > freqGhz_ + kGhzEps) {
         scheduleUpclock();
@@ -330,7 +346,7 @@ CentralPmu::startPstateTransition(double target_ghz)
         reevaluateFreq();
     };
     // One event per P-state transition; transitions dominate throttled runs.
-    eq_.scheduleInChecked(cfg_.pstate.transitionLatency, std::move(cb));
+    eq_.scheduleInChecked(kPstateTransitionLatency, std::move(cb));
 }
 
 void
@@ -341,9 +357,8 @@ CentralPmu::scheduleUpclock()
     // A downclock that was license-caused relaxes only after the slow
     // license-release delay (what TurboCC modulates); other upclocks
     // (governor, power-cap) apply after a short settling delay.
-    Time delay = licenseCausedDownclock_
-                     ? cfg_.pstate.licenseReleaseDelay
-                     : cfg_.upclockDelay;
+    Time delay =
+        licenseCausedDownclock_ ? kLicenseReleaseDelay : kUpclockDelay;
     upclockEvent_ = eq_.scheduleIn(delay, [this] { upclockFired(); });
 }
 
@@ -354,17 +369,7 @@ CentralPmu::upclockFired()
     if (pstateInFlight_)
         return;
     // Recompute; conditions may have changed while waiting.
-    double gov = governor_.requestGhz(cfg_.pstate.minGhz,
-                                      cfg_.pstate.binsGhz.back());
-    double cap = powerLimiter_->capGhz();
-    int license = licenseForGbLevel(maxLevelAllCores());
-    double desired = std::min({gov, cap,
-                               cfg_.pstate.licenseMaxGhz[license]});
-    desired = snapDownToBin(desired, cfg_.pstate.binsGhz);
-    desired = std::min(desired,
-                       powerModel_.maxFreqGhz(activityWithLevels(),
-                                              cfg_.limits,
-                                              cfg_.pstate.binsGhz));
+    double desired = targetFreq().ghz;
     if (desired > freqGhz_ + kGhzEps) {
         licenseCausedDownclock_ = false;
         startPstateTransition(desired);

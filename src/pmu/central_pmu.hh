@@ -10,12 +10,15 @@
  *  - Core execution throttling while a guardband up-transition is in
  *    flight (Multi-Throttling-Thread / -SMT via the core ThrottleUnit).
  *  - 650 µs hysteresis (reset-time): the granted level decays only after
- *    the core has not executed a PHI for resetTime.
+ *    the core has not executed a PHI for that long.
  *  - Iccmax/Vccmax limit protection and turbo licenses: P-state
  *    transitions with a multi-millisecond license-release delay.
  *  - Software governors and an optional RAPL-style power limiter.
  *  - secure-mode (§7): voltage pinned at the worst-case guardband, so no
  *    PHI ever triggers a transition or throttling.
+ *
+ * No part varies the hardware timings (reset-time, upclock delay, P-state
+ * latency, license-release delay): they are constants in central_pmu.cc.
  */
 
 #ifndef ICH_PMU_CENTRAL_PMU_HH
@@ -83,10 +86,7 @@ struct PmuConfig {
     bool perCoreVr = false;
     /** Mitigation: pin the worst-case guardband, never throttle. */
     bool secureMode = false;
-    /** Hysteresis window keeping the guardband after the last PHI. */
-    Time resetTime = fromMicroseconds(650);
-    /** Delay before an upclock not caused by a license release. */
-    Time upclockDelay = fromMicroseconds(200);
+    /** Per-core leakage current, amps. */
     double leakagePerCoreAmps = 1.0;
 };
 
@@ -111,7 +111,6 @@ class CentralPmu
     /** @name State queries */
     ///@{
     double freqGhz() const { return freqGhz_; }
-    bool pstateInFlight() const { return pstateInFlight_; }
 
     /** Rail voltage of @p domain (shared rail: domain 0). */
     double voltsDomain(int domain) const;
@@ -135,7 +134,6 @@ class CentralPmu
 
     const GuardbandModel &guardbandModel() const { return gbModel_; }
     const ChipPowerModel &powerModel() const { return powerModel_; }
-    const PmuConfig &config() const { return cfg_; }
 
     /** @name Stats (tests/benches) */
     ///@{
@@ -219,6 +217,14 @@ class CentralPmu
     void releaseDomainThrottles(int domain);
     void scheduleDecay(CoreId core);
     void decayCheck(CoreId core);
+    /** The frequency to run at: governor request and power cap snapped
+     *  to a bin, clipped by the electrical limit at the present activity
+     *  and by the turbo license; noLicenseGhz omits the license clip. */
+    struct FreqTarget {
+        double ghz;
+        double noLicenseGhz;
+    };
+    FreqTarget targetFreq();
     void reevaluateFreq();
     void startPstateTransition(double target_ghz);
     void scheduleUpclock();

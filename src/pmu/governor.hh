@@ -40,7 +40,6 @@ class Governor
     explicit Governor(const GovernorConfig &cfg) : cfg_(cfg) {}
 
     GovernorPolicy policy() const { return cfg_.policy; }
-    double userspaceGhz() const { return cfg_.userspaceGhz; }
     Time applyLatency() const { return cfg_.applyLatency; }
 
     /** Frequency the governor asks the PMU for. */

@@ -56,9 +56,6 @@ class GuardbandModel
     /** Number of levels (5 for the modeled ISA). */
     int numLevels() const { return static_cast<int>(cdynNf_.size()); }
 
-    const VfCurve &vfCurve() const { return vf_; }
-    const LoadLine &loadLine() const { return ll_; }
-
   private:
     LoadLine ll_;
     VfCurve vf_;

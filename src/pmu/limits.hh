@@ -74,8 +74,6 @@ class ChipPowerModel
                       const ElectricalLimits &limits,
                       const std::vector<double> &bins_ghz) const;
 
-    const GuardbandModel &guardband() const { return gb_; }
-
   private:
     const GuardbandModel &gb_;
     double leakagePerCoreAmps_;

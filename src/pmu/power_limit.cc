@@ -8,6 +8,12 @@
 namespace ich
 {
 
+namespace
+{
+/** Hysteresis: raise the cap only when below this fraction of PL. */
+constexpr double kRaiseBelowFraction = 0.85;
+} // namespace
+
 PowerLimiter::PowerLimiter(Ticker &ticker, const PowerLimitConfig &cfg,
                            std::vector<double> bins_ghz, PowerProbe probe,
                            CapChanged on_change, SetpointProbe setpoint)
@@ -52,12 +58,12 @@ PowerLimiter::evaluate()
         std::size_t target = binIndexAtOrBelow(setpoint_(), binsGhz_);
         if (avg_watts > cfg_.limitWatts && target < capIdx_)
             capIdx_ = target;
-        else if (avg_watts < cfg_.limitWatts * cfg_.raiseBelowFraction &&
+        else if (avg_watts < cfg_.limitWatts * kRaiseBelowFraction &&
                  target > capIdx_)
             capIdx_ = target;
     } else if (avg_watts > cfg_.limitWatts && capIdx_ > 0) {
         --capIdx_;
-    } else if (avg_watts < cfg_.limitWatts * cfg_.raiseBelowFraction &&
+    } else if (avg_watts < cfg_.limitWatts * kRaiseBelowFraction &&
                capIdx_ + 1 < binsGhz_.size()) {
         ++capIdx_;
     }

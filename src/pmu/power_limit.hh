@@ -3,9 +3,10 @@
  * Running-average power limiter (RAPL PL1-style controller).
  *
  * Evaluates average package power every `evalInterval`; when over budget
- * it lowers the frequency cap one bin, when comfortably under it raises
- * the cap one bin. Its multi-millisecond reaction time is the mechanism
- * the PowerT baseline channel (Khatamifard et al., HPCA'19) modulates.
+ * it lowers the frequency cap one bin, when comfortably under (below 85%
+ * of the limit, a constant in power_limit.cc) it raises the cap one bin.
+ * Its multi-millisecond reaction time is the mechanism the PowerT
+ * baseline channel (Khatamifard et al., HPCA'19) modulates.
  * Disabled by default — IChannels itself does not depend on it.
  *
  * The evaluation window is driven by the shared Ticker (one rate-group
@@ -30,8 +31,6 @@ struct PowerLimitConfig {
     bool enabled = false;
     double limitWatts = 15.0;
     Time evalInterval = fromMilliseconds(4.0);
-    /** Hysteresis: raise the cap only when below this fraction of PL. */
-    double raiseBelowFraction = 0.85;
 };
 
 /**
@@ -54,8 +53,6 @@ class PowerLimiter : public Clocked
 
     /** Current frequency cap, GHz (top bin when unconstrained). */
     double capGhz() const;
-
-    bool enabled() const { return cfg_.enabled; }
 
     /** Number of completed evaluations (tests). */
     std::uint64_t evaluations() const { return evals_; }

@@ -6,7 +6,8 @@
  * the computational intensity of in-flight instructions; each license caps
  * the attainable turbo frequency. These license-driven caps are distinct
  * from the five guardband levels (§5.5, footnote 11). The license-release
- * delay (milliseconds) is what makes the TurboCC baseline slow.
+ * delay (milliseconds, a constant in central_pmu.cc) is what makes the
+ * TurboCC baseline slow.
  */
 
 #ifndef ICH_PMU_PSTATE_HH
@@ -16,23 +17,16 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/types.hh"
-
 namespace ich
 {
 
 /** P-state / turbo-license configuration. */
 struct PstateConfig {
-    /** Allowed frequency bins, GHz, ascending. */
+    /** Allowed frequency bins, GHz, ascending; the first is the
+     *  minimum operating frequency. */
     std::vector<double> binsGhz;
-    /** Minimum operating frequency. */
-    double minGhz = 0.8;
     /** Max turbo at license LVL0 / LVL1 / LVL2. */
     std::array<double, 3> licenseMaxGhz = {4.9, 4.3, 3.6};
-    /** PLL relock + voltage retarget time; core throttled meanwhile. */
-    Time transitionLatency = fromMicroseconds(10);
-    /** Delay before re-raising frequency after a license relaxes. */
-    Time licenseReleaseDelay = fromMilliseconds(12);
 };
 
 /** Map a guardband level (0..4) to a turbo license (0..2). */

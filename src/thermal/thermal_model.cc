@@ -5,18 +5,21 @@
 namespace ich
 {
 
-ThermalModel::ThermalModel(const ThermalConfig &cfg)
-    : cfg_(cfg), tempC_(cfg.ambientCelsius)
+namespace
 {
-}
+/** Junction-to-ambient thermal resistance, °C/W. */
+constexpr double kRThermal = 1.4;
+/** Thermal capacitance, J/°C (sets the multi-second time constant). */
+constexpr double kCThermal = 2.0;
+} // namespace
 
 double
 ThermalModel::update(Time now, double watts)
 {
     if (now > lastUpdate_) {
         double dt = toSeconds(now - lastUpdate_);
-        double tau = cfg_.rThermal * cfg_.cThermal;
-        double t_inf = cfg_.ambientCelsius + watts * cfg_.rThermal;
+        double tau = kRThermal * kCThermal;
+        double t_inf = kAmbientCelsius + watts * kRThermal;
         tempC_ = t_inf + (tempC_ - t_inf) * std::exp(-dt / tau);
         lastUpdate_ = now;
     }

@@ -23,12 +23,6 @@ namespace ich
 
 /** Thermal configuration. */
 struct ThermalConfig {
-    double ambientCelsius = 35.0;
-    double tjMaxCelsius = 100.0;
-    /** Junction-to-ambient thermal resistance, °C/W. */
-    double rThermal = 1.4;
-    /** Thermal capacitance, J/°C (sets the multi-second time constant). */
-    double cThermal = 2.0;
     /**
      * Periodic Tj update interval, driven by the chip Ticker. 0 (the
      * default) keeps the model purely lazy: closed-form integration on
@@ -39,11 +33,17 @@ struct ThermalConfig {
     Time sampleInterval = 0;
 };
 
-/** One thermal node driven by piecewise-constant power. */
+/**
+ * One thermal node driven by piecewise-constant power. Its thermal
+ * resistance and capacitance are constants in thermal_model.cc.
+ */
 class ThermalModel
 {
   public:
-    explicit ThermalModel(const ThermalConfig &cfg);
+    /** Ambient temperature, where the node starts. */
+    static constexpr double kAmbientCelsius = 35.0;
+    /** Junction temperature limit, Tjmax (Fig. 7b). */
+    static constexpr double kTjMaxCelsius = 100.0;
 
     /**
      * Advance to @p now assuming @p watts was dissipated since the last
@@ -54,14 +54,10 @@ class ThermalModel
     /** Last computed junction temperature (no time advance). */
     double celsius() const { return tempC_; }
 
-    double tjMax() const { return cfg_.tjMaxCelsius; }
-    bool overTjMax() const { return tempC_ > cfg_.tjMaxCelsius; }
-
-    const ThermalConfig &config() const { return cfg_; }
+    bool overTjMax() const { return tempC_ > kTjMaxCelsius; }
 
   private:
-    ThermalConfig cfg_;
-    double tempC_;
+    double tempC_ = kAmbientCelsius;
     Time lastUpdate_ = 0;
 };
 

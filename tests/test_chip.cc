@@ -192,8 +192,8 @@ TEST(Chip, TjCelsiusAdvancesThermalState)
     chip.core(0).thread(0).start();
     sim.eq().runUntil(fromMilliseconds(50));
     double t = chip.tjCelsius();
-    EXPECT_GT(t, chip.thermal().config().ambientCelsius);
-    EXPECT_LT(t, chip.thermal().config().tjMaxCelsius);
+    EXPECT_GT(t, ThermalModel::kAmbientCelsius);
+    EXPECT_LT(t, ThermalModel::kTjMaxCelsius);
 }
 
 // Fig. 8b: on parts with an AVX power gate, the first iteration of an

@@ -56,6 +56,7 @@ TEST(Cli, ShortFlags)
 {
     CliOptions cli = parse({"-j", "3"});
     EXPECT_EQ(cli.jobs, 3);
+    EXPECT_EQ(parse({"-j", "1024"}).jobs, 1024); // the cap itself
     EXPECT_TRUE(parse({"-h"}).help);
 }
 
@@ -82,6 +83,7 @@ TEST(Cli, Rejections)
     EXPECT_THROW(parse({"--jobs", "zero"}), std::invalid_argument);
     EXPECT_THROW(parse({"--jobs", "0"}), std::invalid_argument);
     EXPECT_THROW(parse({"--jobs", "12x"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--jobs", "1025"}), std::invalid_argument);
     EXPECT_THROW(parse({"--seed", "-4"}), std::invalid_argument);
     EXPECT_THROW(parse({"--trials", "0"}), std::invalid_argument);
     EXPECT_THROW(parse({"--out", ""}), std::invalid_argument);

@@ -66,7 +66,7 @@ TEST_P(GovernorPolicies, CovertChannelWorksUnderPolicy)
     cfg.chip = presets::cannonLake();
     cfg.chip.pmu.governor.policy = GetParam();
     cfg.freqGhz = GetParam() == GovernorPolicy::kPowersave
-                      ? cfg.chip.pmu.pstate.minGhz
+                      ? cfg.chip.pmu.pstate.binsGhz.front()
                       : 1.4;
     cfg.seed = 11;
     IccThreadCovert ch(cfg);

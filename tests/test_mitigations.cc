@@ -11,6 +11,7 @@
 #include "channels/thread_channel.hh"
 #include "chip/presets.hh"
 #include "mitigations/mitigations.hh"
+#include "test_util.hh"
 
 namespace ich
 {
@@ -33,8 +34,8 @@ TEST(Mitigations, ConfigTransformsSetFlags)
 {
     ChipConfig base = presets::cannonLake();
     EXPECT_TRUE(mitigations::withPerCoreVr(base).pmu.perCoreVr);
-    EXPECT_EQ(mitigations::withPerCoreVr(base).pmu.vr.kind,
-              VrKind::kLowDropout);
+    EXPECT_TRUE(test::sameVrStyle(mitigations::withPerCoreVr(base).pmu.vr,
+                                  VrConfig::lowDropout()));
     EXPECT_TRUE(mitigations::withImprovedThrottling(base)
                     .core.throttle.perThread);
     EXPECT_TRUE(mitigations::withSecureMode(base).pmu.secureMode);

@@ -13,6 +13,7 @@
 #include "channels/smt_channel.hh"
 #include "channels/thread_channel.hh"
 #include "chip/presets.hh"
+#include "test_util.hh"
 
 namespace ich
 {
@@ -33,7 +34,7 @@ TEST(OtherUarch, ZenPresetShape)
 {
     ChipConfig cfg = presets::zenLike();
     EXPECT_TRUE(cfg.pmu.perCoreVr);
-    EXPECT_EQ(cfg.pmu.vr.kind, VrKind::kLowDropout);
+    EXPECT_TRUE(test::sameVrStyle(cfg.pmu.vr, VrConfig::lowDropout()));
     EXPECT_FALSE(presets::hasAvx512(cfg));
 }
 

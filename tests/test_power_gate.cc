@@ -27,11 +27,10 @@ TEST(PowerGate, OpenChargesWakeLatencyOnce)
 {
     EventQueue eq;
     Rng rng(1);
-    PowerGateConfig cfg;
-    PowerGate pg(eq, rng, cfg);
+    PowerGate pg(eq, rng, PowerGateConfig{});
     Time stall = pg.open();
-    EXPECT_GE(stall, cfg.wakeLatencyMin);
-    EXPECT_LE(stall, cfg.wakeLatencyMax);
+    EXPECT_GE(stall, PowerGate::kWakeLatencyMin);
+    EXPECT_LE(stall, PowerGate::kWakeLatencyMax);
     EXPECT_FALSE(pg.closed());
     EXPECT_EQ(pg.open(), 0u); // already open
     EXPECT_EQ(pg.openCount(), 1u);
@@ -53,9 +52,7 @@ TEST(PowerGate, ClosesAfterIdleDelay)
 {
     EventQueue eq;
     Rng rng(1);
-    PowerGateConfig cfg;
-    cfg.idleCloseDelay = fromMicroseconds(30);
-    PowerGate pg(eq, rng, cfg);
+    PowerGate pg(eq, rng, PowerGateConfig{});
     pg.open();
     eq.runUntil(fromMicroseconds(31));
     EXPECT_TRUE(pg.closed());
@@ -65,9 +62,7 @@ TEST(PowerGate, TouchDefersClose)
 {
     EventQueue eq;
     Rng rng(1);
-    PowerGateConfig cfg;
-    cfg.idleCloseDelay = fromMicroseconds(30);
-    PowerGate pg(eq, rng, cfg);
+    PowerGate pg(eq, rng, PowerGateConfig{});
     pg.open();
     eq.runUntil(fromMicroseconds(20));
     pg.touch(); // used again at t=20us
@@ -81,9 +76,7 @@ TEST(PowerGate, ReopenAfterCloseStallsAgain)
 {
     EventQueue eq;
     Rng rng(1);
-    PowerGateConfig cfg;
-    cfg.idleCloseDelay = fromMicroseconds(30);
-    PowerGate pg(eq, rng, cfg);
+    PowerGate pg(eq, rng, PowerGateConfig{});
     pg.open();
     eq.runUntil(fromMicroseconds(40));
     ASSERT_TRUE(pg.closed());
@@ -92,17 +85,15 @@ TEST(PowerGate, ReopenAfterCloseStallsAgain)
 }
 
 // Regression: the idle-close countdown used to run from the *start* of
-// a use period (the open() call), so a kernel longer than idleCloseDelay
-// had its gate closed underneath it and the next kernel absorbed a
-// spurious wake stall. beginUse()/endUse() pin the gate for the whole
-// kernel; the countdown starts at the end of use.
+// a use period (the open() call), so a kernel longer than the 30 us
+// idle-close delay had its gate closed underneath it and the next
+// kernel absorbed a spurious wake stall. beginUse()/endUse() pin the
+// gate for the whole kernel; the countdown starts at the end of use.
 TEST(PowerGate, StaysOpenWhileInUse_FirstPeriodTruncationFix)
 {
     EventQueue eq;
     Rng rng(1);
-    PowerGateConfig cfg;
-    cfg.idleCloseDelay = fromMicroseconds(30);
-    PowerGate pg(eq, rng, cfg);
+    PowerGate pg(eq, rng, PowerGateConfig{});
 
     // A 100 us kernel: much longer than the 30 us idle-close delay.
     EXPECT_GT(pg.beginUse(), 0u);
@@ -126,9 +117,7 @@ TEST(PowerGate, NestedUsersKeepTheGateOpen_SmtSharing)
 {
     EventQueue eq;
     Rng rng(1);
-    PowerGateConfig cfg;
-    cfg.idleCloseDelay = fromMicroseconds(30);
-    PowerGate pg(eq, rng, cfg);
+    PowerGate pg(eq, rng, PowerGateConfig{});
 
     pg.beginUse(); // SMT thread 0
     pg.beginUse(); // SMT thread 1

@@ -54,7 +54,6 @@ TEST(PowerLimiter, UnderBudgetRaisesCapWithHysteresis)
     cfg.enabled = true;
     cfg.limitWatts = 10.0;
     cfg.evalInterval = fromMilliseconds(4);
-    cfg.raiseBelowFraction = 0.85;
     double power = 20.0;
     PowerLimiter pl(ticker, cfg, {1.0, 2.0, 3.0}, [&] { return power; },
                     nullptr);

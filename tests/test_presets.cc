@@ -24,7 +24,7 @@ TEST(Presets, CannonLakeShape)
     EXPECT_TRUE(presets::hasAvx512(cfg));
     EXPECT_DOUBLE_EQ(cfg.pmu.limits.vccMaxVolts, 1.15);
     EXPECT_DOUBLE_EQ(cfg.pmu.limits.iccMaxAmps, 29.0);
-    EXPECT_EQ(cfg.pmu.vr.kind, VrKind::kMotherboard);
+    EXPECT_TRUE(test::sameVrStyle(cfg.pmu.vr, VrConfig::motherboard()));
 }
 
 TEST(Presets, CoffeeLakeShape)
@@ -45,7 +45,7 @@ TEST(Presets, HaswellShape)
     EXPECT_EQ(cfg.core.smtThreads, 2);
     EXPECT_FALSE(cfg.core.avxGate.present); // pre-Skylake
     EXPECT_FALSE(presets::hasAvx512(cfg));
-    EXPECT_EQ(cfg.pmu.vr.kind, VrKind::kIntegrated); // FIVR
+    EXPECT_TRUE(test::sameVrStyle(cfg.pmu.vr, VrConfig::integrated())); // FIVR
 }
 
 TEST(Presets, HaswellVrFasterThanMbvrParts)

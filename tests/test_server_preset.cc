@@ -10,6 +10,7 @@
 #include "channels/smt_channel.hh"
 #include "channels/thread_channel.hh"
 #include "chip/presets.hh"
+#include "test_util.hh"
 
 namespace ich
 {
@@ -32,7 +33,7 @@ TEST(ServerPreset, Shape)
     EXPECT_EQ(cfg.numCores, 16);
     EXPECT_EQ(cfg.core.smtThreads, 2);
     EXPECT_TRUE(presets::hasAvx512(cfg));
-    EXPECT_EQ(cfg.pmu.vr.kind, VrKind::kIntegrated);
+    EXPECT_TRUE(test::sameVrStyle(cfg.pmu.vr, VrConfig::integrated()));
     EXPECT_GT(cfg.pmu.limits.iccMaxAmps, 100.0); // server-class VR
 }
 

@@ -16,19 +16,14 @@ namespace
 
 TEST(Thermal, StartsAtAmbient)
 {
-    ThermalConfig cfg;
-    ThermalModel tm(cfg);
-    EXPECT_DOUBLE_EQ(tm.celsius(), cfg.ambientCelsius);
+    ThermalModel tm;
+    EXPECT_DOUBLE_EQ(tm.celsius(), ThermalModel::kAmbientCelsius);
     EXPECT_FALSE(tm.overTjMax());
 }
 
 TEST(Thermal, ConvergesToSteadyState)
 {
-    ThermalConfig cfg;
-    cfg.ambientCelsius = 35.0;
-    cfg.rThermal = 1.4;
-    cfg.cThermal = 2.0;
-    ThermalModel tm(cfg);
+    ThermalModel tm;
     double watts = 18.0;
     double t_inf = 35.0 + watts * 1.4; // 60.2 C
     tm.update(fromSeconds(60.0), watts);
@@ -39,14 +34,14 @@ TEST(Thermal, MicrosecondPowerBurstBarelyMovesTemperature)
 {
     // Key Conclusion 2: a PHI burst of tens of microseconds cannot be a
     // thermal event — temperature rises by millidegrees at most.
-    ThermalModel tm(ThermalConfig{});
+    ThermalModel tm;
     tm.update(fromMicroseconds(50), 30.0);
     EXPECT_LT(tm.celsius() - 35.0, 0.01);
 }
 
 TEST(Thermal, MonotoneRiseUnderConstantPower)
 {
-    ThermalModel tm(ThermalConfig{});
+    ThermalModel tm;
     double prev = tm.celsius();
     for (int s = 1; s <= 5; ++s) {
         tm.update(fromSeconds(s), 20.0);
@@ -57,7 +52,7 @@ TEST(Thermal, MonotoneRiseUnderConstantPower)
 
 TEST(Thermal, CoolsBackTowardAmbient)
 {
-    ThermalModel tm(ThermalConfig{});
+    ThermalModel tm;
     tm.update(fromSeconds(20), 25.0);
     double hot = tm.celsius();
     tm.update(fromSeconds(60), 0.0);
@@ -68,7 +63,7 @@ TEST(Thermal, CoolsBackTowardAmbient)
 TEST(Thermal, TypicalClientLoadStaysFarBelowTjmax)
 {
     // Fig. 7b: junction temperature sits near 60 C while Tjmax is 100 C.
-    ThermalModel tm(ThermalConfig{});
+    ThermalModel tm;
     tm.update(fromSeconds(120), 18.0);
     EXPECT_GT(tm.celsius(), 55.0);
     EXPECT_LT(tm.celsius(), 65.0);
@@ -77,7 +72,7 @@ TEST(Thermal, TypicalClientLoadStaysFarBelowTjmax)
 
 TEST(Thermal, NonAdvancingUpdateKeepsState)
 {
-    ThermalModel tm(ThermalConfig{});
+    ThermalModel tm;
     tm.update(fromSeconds(10), 20.0);
     double t = tm.celsius();
     tm.update(fromSeconds(10), 99.0); // same timestamp: no integration

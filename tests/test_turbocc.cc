@@ -49,8 +49,7 @@ TEST(TurboCC, FrequencyDropIsNotThermal)
     chip.core(0).thread(0).start();
     sim.eq().runUntil(fromMilliseconds(2));
     EXPECT_LT(chip.freqGhz(), cfg.pmu.pstate.binsGhz.back());
-    EXPECT_LT(chip.tjCelsius(),
-              chip.thermal().config().tjMaxCelsius - 20.0);
+    EXPECT_LT(chip.tjCelsius(), ThermalModel::kTjMaxCelsius - 20.0);
 }
 
 TEST(TurboCC, FrequencyRestoresAfterLicenseRelease)

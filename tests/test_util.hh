@@ -56,6 +56,18 @@ quietChip(double freq_ghz = 1.4, int smt = 2)
     return cfg;
 }
 
+/**
+ * True if @p vr carries @p factory's slew rate, command latency and
+ * settle time: the parameters that tell the three VR styles apart.
+ */
+inline bool
+sameVrStyle(const VrConfig &vr, const VrConfig &factory)
+{
+    return vr.slewVoltsPerSecond == factory.slewVoltsPerSecond &&
+           vr.commandLatency == factory.commandLatency &&
+           vr.settleTime == factory.settleTime;
+}
+
 /** Expected unthrottled duration of a kernel at @p freq_ghz, in ps. */
 inline Time
 kernelPicos(const Kernel &k, double freq_ghz)

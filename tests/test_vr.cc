@@ -105,9 +105,9 @@ TEST(VoltageRegulator, RetargetMidRampStartsFromInstantaneous)
 TEST(VoltageRegulator, PdnPresetsOrderedBySpeed)
 {
     EventQueue eq;
-    VoltageRegulator mb(eq, VrConfig::motherboard(), 0.75, "mb");
-    VoltageRegulator ivr(eq, VrConfig::integrated(), 0.75, "ivr");
-    VoltageRegulator ldo(eq, VrConfig::lowDropout(), 0.75, "ldo");
+    VoltageRegulator mb(eq, VrConfig::motherboard(), 0.75);
+    VoltageRegulator ivr(eq, VrConfig::integrated(), 0.75);
+    VoltageRegulator ldo(eq, VrConfig::lowDropout(), 0.75);
     Time t_mb = mb.transitionTime(0.76);
     Time t_ivr = ivr.transitionTime(0.76);
     Time t_ldo = ldo.transitionTime(0.76);
@@ -122,7 +122,7 @@ TEST(VoltageRegulator, JitterRequiresRng)
     VrConfig cfg = testConfig();
     cfg.commandJitter = fromNanoseconds(300);
     Rng rng(1);
-    VoltageRegulator vr(eq, cfg, 0.75, "vr", &rng);
+    VoltageRegulator vr(eq, cfg, 0.75, &rng);
     Time base = fromMicroseconds(11.5);
     // With jitter, completion lands in [base, base+0.3us]; run repeated
     // transitions and check spread.
