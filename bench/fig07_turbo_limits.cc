@@ -129,10 +129,10 @@ main()
                    Table::fmt(daq.trace("tj_C").valueAt(t), 1)});
     }
     std::printf("%s", tb.toString().c_str());
-    std::printf("Icc max over run: %.1f A (limit 29 A); Tj max: %.1f C "
-                "(Tjmax 100 C)\n",
-                daq.trace("icc_A").maxValue(),
-                daq.trace("tj_C").maxValue());
+    std::printf("Icc max over run: %.1f A (limit %.0f A); Tj max: %.1f C "
+                "(Tjmax %.0f C)\n",
+                daq.trace("icc_A").maxValue(), cfg.pmu.limits.iccMaxAmps,
+                daq.trace("tj_C").maxValue(), ThermalModel::kTjMaxCelsius);
     std::printf("\nKey Conclusion 2: frequency steps are current/voltage-"
                 "limit protection,\nnot thermal (Tj stays near ambient+"
                 "20C, far below Tjmax).\n");

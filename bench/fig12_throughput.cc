@@ -7,9 +7,10 @@
  * (b) IccSMTcovert / IccCoresCovert vs. DFScovert, TurboCC, PowerT
  *     (paper: 145×, 47×, 24×).
  *
- * Every channel transfers a real payload; the reported throughput is
- * payload bits / simulated transfer time, and BER is shown to confirm
- * the channels actually work at that rate.
+ * Every channel transfers a real payload through the same
+ * CovertLink::transmit; the reported throughput is payload bits /
+ * simulated transfer time, and BER is shown to confirm the channels
+ * actually work at that rate.
  */
 
 #include <cstdio>
@@ -27,10 +28,11 @@ using namespace ich;
 namespace
 {
 
+/** Contender ids; the three IChannels' ids are their ChannelKind. */
 enum Contender {
-    kIccThread,
-    kIccSmt,
-    kIccCores,
+    kIccThread = static_cast<int>(ChannelKind::kThread),
+    kIccSmt = static_cast<int>(ChannelKind::kSmt),
+    kIccCores = static_cast<int>(ChannelKind::kCores),
     kNetSpectre,
     kTurboCC,
     kDfsCovert,
@@ -41,49 +43,33 @@ enum Contender {
 exp::MetricMap
 runContender(int which, std::uint64_t seed)
 {
-    TransmitResult r;
+    ChannelConfig cfg;
+    cfg.chip = presets::cannonLake();
+    cfg.seed = seed;
+    std::unique_ptr<CovertLink> link;
+    std::size_t payload_bits = 64;
     switch (which) {
-    case kIccThread: {
-        ChannelConfig cfg;
-        cfg.chip = presets::cannonLake();
-        cfg.seed = seed;
-        r = IccThreadCovert(cfg).transmit(bench::lcgPayload(64, 0xC0FFEE));
+    case kNetSpectre:
+        link = std::make_unique<NetSpectre>(cfg);
+        payload_bits = 32;
         break;
-    }
-    case kIccSmt: {
-        ChannelConfig cfg;
-        cfg.chip = presets::cannonLake();
-        cfg.seed = seed;
-        r = IccSMTcovert(cfg).transmit(bench::lcgPayload(64, 0xC0FFEE));
-        break;
-    }
-    case kIccCores: {
-        ChannelConfig cfg;
-        cfg.chip = presets::cannonLake();
-        cfg.seed = seed;
-        r = IccCoresCovert(cfg).transmit(bench::lcgPayload(64, 0xC0FFEE));
-        break;
-    }
-    case kNetSpectre: {
-        ChannelConfig cfg;
-        cfg.chip = presets::cannonLake();
-        cfg.seed = seed;
-        r = NetSpectre(cfg).transmit(bench::lcgPayload(32, 0xC0FFEE));
-        break;
-    }
     case kTurboCC:
-        r = TurboCC(presets::cannonLake(), seed)
-                .transmit(bench::lcgPayload(12, 0xC0FFEE));
+        link = std::make_unique<TurboCC>(cfg.chip, seed);
+        payload_bits = 12;
         break;
     case kDfsCovert:
-        r = DfsCovert(presets::cannonLake(), seed)
-                .transmit(bench::lcgPayload(8, 0xC0FFEE));
+        link = std::make_unique<DfsCovert>(cfg.chip, seed);
+        payload_bits = 8;
         break;
     case kPowerT:
-        r = PowerT(presets::cannonLake(), seed)
-                .transmit(bench::lcgPayload(16, 0xC0FFEE));
+        link = std::make_unique<PowerT>(cfg.chip, seed);
+        payload_bits = 16;
         break;
+    default: // an IChannels contender; makeChannel rejects any other id
+        link = makeChannel(static_cast<ChannelKind>(which), cfg);
     }
+    TransmitResult r =
+        link->transmit(bench::lcgPayload(payload_bits, 0xC0FFEE));
     exp::MetricMap m;
     m["throughput_bps"] = r.throughputBps;
     m["ber"] = r.ber;
@@ -156,17 +142,15 @@ main(int argc, char **argv)
     ChannelConfig cfg;
     cfg.chip = presets::cannonLake();
     cfg.seed = 99;
-    IccThreadCovert thread_ch(cfg);
-    IccSMTcovert smt_ch(cfg);
-    IccCoresCovert cores_ch(cfg);
-    auto mi = [&](CovertChannel &ch) {
+    auto mi = [&](ChannelKind kind) {
         return CapacityEstimator::mutualInformationBits(
-            CapacityEstimator::measure(ch, 16), 48);
+            CapacityEstimator::measure(*makeChannel(kind, cfg), 16), 48);
     };
     std::printf("\nempirical channel capacity (I(X;Y), uniform input):\n");
     std::printf("  IccThreadCovert %.2f bits/txn, IccSMTcovert %.2f, "
                 "IccCoresCovert %.2f (max 2.0)\n",
-                mi(thread_ch), mi(smt_ch), mi(cores_ch));
+                mi(ChannelKind::kThread), mi(ChannelKind::kSmt),
+                mi(ChannelKind::kCores));
 
     std::printf("\n(a) IccThreadCovert / NetSpectre = %.2fx   "
                 "(paper: 2x)\n",

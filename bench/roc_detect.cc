@@ -1,7 +1,7 @@
 /**
  * @file
  * Detector-vs-attacker ROC campaigns on the server preset — the arms
- * race ROADMAP item 4 asked for, as two declarative sweeps:
+ * race the ROADMAP asked for, as two declarative sweeps:
  *
  *  - roc-detect: N-tenant co-residency grid with the attacker present
  *    or absent at each (honest-rate, tenant-count) point. Every trial

@@ -19,23 +19,18 @@ namespace ich
 {
 
 /** Governor-modulation covert channel. */
-class DfsCovert
+class DfsCovert : public CovertLink
 {
   public:
     DfsCovert(ChipConfig chip, std::uint64_t seed);
 
-    TransmitResult transmit(const BitVec &bits);
-    double ratedThroughputBps() const;
-
   private:
     ChipConfig chip_;
     std::uint64_t seed_;
-    double threshold_ = 0.0;
-    bool calibrated_ = false;
     std::uint64_t runCounter_ = 0;
 
-    std::vector<double> runBits(const std::vector<int> &bits);
-    void calibrate();
+    std::vector<double> measure(const std::vector<int> &bits,
+                                bool with_noise) override;
 };
 
 } // namespace ich

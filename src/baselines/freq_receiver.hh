@@ -3,13 +3,15 @@
  * Shared receiver for the frequency-modulation baseline channels
  * (TurboCC, DFScovert, PowerT): a thread on core 1 times a chunked 64b
  * loop to estimate the chip clock frequency while the sender runs on
- * core 0, and each bit decodes from the mean frequency inside a window
- * of its bit time.
+ * core 0, and each bit reads as the mean frequency inside a window of
+ * its bit time. The bit-epoch schedule lives here too, so the three
+ * channels differ only in what their sender does for each bit.
  */
 
 #ifndef ICH_BASELINES_FREQ_RECEIVER_HH
 #define ICH_BASELINES_FREQ_RECEIVER_HH
 
+#include <functional>
 #include <vector>
 
 #include "chip/simulation.hh"
@@ -51,18 +53,30 @@ meanFreqInWindow(const std::vector<Record> &recs, double t_lo_us,
 }
 
 /**
- * Run sender program @p tx (core 0) against the timing receiver (core
- * 1) on @p sim for @p n_bits bits of @p bit_us each, the first starting
- * at TSC @p first. The receiver's loop is sized at @p nominal_freq_ghz.
- * Returns each bit's mean frequency over the fraction
- * [window_lo, window_hi) of its bit time.
+ * Send @p bits from core 0, one per @p bit_time starting 100 µs into
+ * the run, against the timing receiver on core 1. At each bit's epoch
+ * the sender program waits for the TSC and then @p send_bit appends
+ * that bit's action. The receiver's loop is sized at
+ * @p nominal_freq_ghz. Returns each bit's mean frequency over the
+ * fraction [window_lo, window_hi) of its bit time.
  */
 inline std::vector<double>
-runFreqReceiver(Simulation &sim, Program tx, std::size_t n_bits,
-                double bit_us, Cycles first, double nominal_freq_ghz,
-                double window_lo, double window_hi)
+runFreqReceiver(Simulation &sim, const std::vector<int> &bits,
+                Time bit_time, double nominal_freq_ghz, double window_lo,
+                double window_hi,
+                const std::function<void(Program &, int)> &send_bit)
 {
-    double total_us = bit_us * (n_bits + 2) + 200.0;
+    double bit_us = toMicroseconds(bit_time);
+    double tsc_ghz = sim.chip().tscGhz();
+    Cycles first = static_cast<Cycles>(100.0 * tsc_ghz * 1e3);
+    double bit_tsc = bit_us * tsc_ghz * 1000.0;
+    Program tx;
+    for (std::size_t k = 0; k < bits.size(); ++k) {
+        tx.waitUntilTsc(first + static_cast<Cycles>(bit_tsc * k));
+        send_bit(tx, bits[k]);
+    }
+
+    double total_us = bit_us * (bits.size() + 2) + 200.0;
     double iter_cycles = makeKernel(InstClass::kScalar64, 1, kFreqRxUnroll)
                              .cyclesPerIteration();
     double iter_us = iter_cycles * cyclePicos(nominal_freq_ghz) * 1e-6;
@@ -81,7 +95,7 @@ runFreqReceiver(Simulation &sim, Program tx, std::size_t n_bits,
 
     double first_us = toMicroseconds(sim.chip().tscToTime(first));
     std::vector<double> ghz;
-    for (std::size_t k = 0; k < n_bits; ++k) {
+    for (std::size_t k = 0; k < bits.size(); ++k) {
         double lo = first_us + bit_us * (k + window_lo);
         double hi = first_us + bit_us * (k + window_hi);
         ghz.push_back(meanFreqInWindow(rx_thr.records(), lo, hi));

@@ -20,27 +20,19 @@ namespace ich
 {
 
 /** NetSpectre-style 1-bit-per-transaction channel. */
-class NetSpectre
+class NetSpectre : public CovertLink
 {
   public:
     explicit NetSpectre(ChannelConfig cfg);
-
-    TransmitResult transmit(const BitVec &bits);
-
-    /** Bits per second the transaction pacing supports (1 bit/period). */
-    double ratedThroughputBps() const;
 
     const ChannelConfig &config() const { return cfg_; }
 
   private:
     ChannelConfig cfg_;
-    InstClass gadgetClass_;
-    double threshold_ = 0.0;
-    bool calibrated_ = false;
     std::uint64_t runCounter_ = 0;
 
-    std::vector<double> runBits(const std::vector<int> &bits);
-    void calibrate();
+    std::vector<double> measure(const std::vector<int> &bits,
+                                bool with_noise) override;
 };
 
 } // namespace ich

@@ -8,6 +8,8 @@ namespace ich
 namespace
 {
 constexpr Time kBitTime = fromMilliseconds(8.2);
+/** Calibration passes over {0, 1}. */
+constexpr int kTrainingPairs = 4;
 /** Power-limit controller evaluation interval. */
 constexpr Time kEvalInterval = fromMilliseconds(4.0);
 // The controller needs at least one evaluation to react in each
@@ -24,14 +26,9 @@ constexpr InstClass kSenderClass = InstClass::k128Heavy;
 } // namespace
 
 PowerT::PowerT(ChipConfig chip, std::uint64_t seed)
-    : chip_(std::move(chip)), seed_(seed)
+    : CovertLink(1, kTrainingPairs, kBitTime), chip_(std::move(chip)),
+      seed_(seed)
 {
-}
-
-double
-PowerT::ratedThroughputBps() const
-{
-    return 1.0 / toSeconds(kBitTime);
 }
 
 void
@@ -61,7 +58,7 @@ PowerT::chooseLimit()
 }
 
 std::vector<double>
-PowerT::runBits(const std::vector<int> &bits)
+PowerT::measure(const std::vector<int> &bits, bool /*with_noise*/)
 {
     if (limitWatts_ <= 0.0)
         chooseLimit();
@@ -74,59 +71,19 @@ PowerT::runBits(const std::vector<int> &bits)
     Simulation sim(chip, seed_ + (++runCounter_));
 
     double max_ghz = chip.pmu.pstate.binsGhz.back();
-    double bit_us = toMicroseconds(kBitTime);
-    Cycles first = static_cast<Cycles>(100.0 * chip.tscGhz * 1e3);
-    double bit_tsc = bit_us * chip.tscGhz * 1000.0;
-
-    double hold_us = bit_us * kHoldFraction;
+    double hold_us = toMicroseconds(kBitTime) * kHoldFraction;
     double iter_cycles =
         makeKernel(kSenderClass, 1, 100).cyclesPerIteration();
     // Iterations sized at ~90% of max frequency (cap drops are small).
     auto hold_iters = static_cast<std::uint64_t>(
         hold_us * max_ghz * 0.9 * 1000.0 / iter_cycles);
 
-    Program tx;
-    for (std::size_t k = 0; k < bits.size(); ++k) {
-        Cycles epoch = first + static_cast<Cycles>(bit_tsc * k);
-        tx.waitUntilTsc(epoch);
-        if (bits[k])
-            tx.loop(kSenderClass, hold_iters);
-    }
-    return baselines::runFreqReceiver(sim, std::move(tx), bits.size(),
-                                      bit_us, first, max_ghz, kWindowLo,
-                                      kWindowHi);
-}
-
-void
-PowerT::calibrate()
-{
-    std::vector<int> training = {0, 1, 0, 1, 0, 1, 0, 1};
-    std::vector<double> ghz = runBits(training);
-    double sum0 = 0.0, sum1 = 0.0;
-    int half = static_cast<int>(training.size()) / 2;
-    for (std::size_t i = 0; i < training.size(); ++i)
-        (training[i] ? sum1 : sum0) += ghz[i];
-    threshold_ = 0.5 * (sum0 / half + sum1 / half);
-    calibrated_ = true;
-}
-
-TransmitResult
-PowerT::transmit(const BitVec &bits)
-{
-    if (!calibrated_)
-        calibrate();
-
-    std::vector<int> tx(bits.begin(), bits.end());
-    std::vector<double> ghz = runBits(tx);
-
-    TransmitResult res;
-    res.sentBits = bits;
-    for (double g : ghz) {
-        res.receivedBits.push_back(g < threshold_ ? 1 : 0);
-        res.tpUs.push_back(g);
-    }
-    res.score(bits.size() * toSeconds(kBitTime));
-    return res;
+    return baselines::runFreqReceiver(
+        sim, bits, kBitTime, max_ghz, kWindowLo, kWindowHi,
+        [hold_iters](Program &tx, int bit) {
+            if (bit)
+                tx.loop(kSenderClass, hold_iters);
+        });
 }
 
 } // namespace ich

@@ -19,13 +19,10 @@ namespace ich
 {
 
 /** Power-limit frequency covert channel. */
-class PowerT
+class PowerT : public CovertLink
 {
   public:
     PowerT(ChipConfig chip, std::uint64_t seed);
-
-    TransmitResult transmit(const BitVec &bits);
-    double ratedThroughputBps() const;
 
     /** Power limit chosen between idle and burn power (for tests). */
     double chosenLimitWatts() const { return limitWatts_; }
@@ -34,12 +31,10 @@ class PowerT
     ChipConfig chip_;
     std::uint64_t seed_;
     double limitWatts_ = 0.0;
-    double threshold_ = 0.0;
-    bool calibrated_ = false;
     std::uint64_t runCounter_ = 0;
 
-    std::vector<double> runBits(const std::vector<int> &bits);
-    void calibrate();
+    std::vector<double> measure(const std::vector<int> &bits,
+                                bool with_noise) override;
     void chooseLimit();
 };
 

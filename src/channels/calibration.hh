@@ -1,12 +1,16 @@
 /**
  * @file
- * Receiver calibration: learn the per-label throttling-period means from
- * a training sequence, then decode by nearest mean. The covert channels
- * label by 2-bit symbol (the L1..L4 ranges of Figures 3 and 13); the
- * §6.5 instruction spy labels by guardband level. The paper reports its
- * low-noise level ranges > 2 K TSC cycles apart, where nearest-mean is
- * equivalent to the threshold ranges of Figure 3; fig13_tp_dist
- * measures the simulated gaps.
+ * Receiver calibration: learn the per-label reading means from a
+ * training sequence, then decode by nearest mean. CovertLink
+ * (channels/channel.hh) calibrates all seven Fig. 12 contenders this
+ * way: the IChannels label by 2-bit symbol (the L1..L4 ranges of
+ * Figures 3 and 13), the four baselines by bit. The §6.5 instruction
+ * spy labels by guardband level. A reading is a throttling period in µs
+ * for the IChannels, the spy and NetSpectre, and a frequency in GHz for
+ * TurboCC, DFScovert and PowerT; meanUs() and stddevUs() carry the
+ * reading's unit. The paper reports its low-noise level ranges > 2 K TSC
+ * cycles apart, where nearest-mean is equivalent to the threshold ranges
+ * of Figure 3; fig13_tp_dist measures the simulated gaps.
  */
 
 #ifndef ICH_CHANNELS_CALIBRATION_HH

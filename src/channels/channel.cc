@@ -68,26 +68,76 @@ epochTsc(const ChannelConfig &cfg, std::size_t k)
            static_cast<Cycles>(period_cycles * static_cast<double>(k));
 }
 
-void
-TransmitResult::score(double transfer_seconds)
-{
-    bitErrors = hammingDistance(sentBits, receivedBits);
-    ber = sentBits.empty()
-              ? 0.0
-              : static_cast<double>(bitErrors) / sentBits.size();
-    seconds = transfer_seconds;
-    throughputBps = seconds > 0.0 ? sentBits.size() / seconds : 0.0;
-}
-
-CovertChannel::CovertChannel(ChannelConfig cfg)
-    : cfg_(std::move(cfg)), map_(symbolMapFor(cfg_.chip))
+CovertLink::CovertLink(int bits_per_label, int training_repeats,
+                       Time period)
+    : bitsPerLabel_(bits_per_label), trainingRepeats_(training_repeats),
+      period_(period)
 {
 }
 
 double
-CovertChannel::ratedThroughputBps() const
+CovertLink::ratedThroughputBps() const
 {
-    return kBitsPerSymbol / toSeconds(cfg_.period);
+    return bitsPerLabel_ / toSeconds(period_);
+}
+
+const Calibration &
+CovertLink::calibration()
+{
+    if (!calibration_) {
+        int num_labels = 1 << bitsPerLabel_;
+        std::vector<int> training;
+        for (int r = 0; r < trainingRepeats_; ++r)
+            for (int s = 0; s < num_labels; ++s)
+                training.push_back(s);
+        std::vector<double> readings = measure(training, /*with_noise=*/false);
+        calibration_ = Calibration::fit(training, readings, num_labels);
+    }
+    return *calibration_;
+}
+
+TransmitResult
+CovertLink::transmit(const BitVec &bits)
+{
+    TransmitResult res;
+    res.sentBits = bits;
+
+    // Pack bits LSB-first into labels (the last one zero-padded).
+    for (std::size_t i = 0; i < bits.size(); i += bitsPerLabel_) {
+        int label = 0;
+        for (int b = 0; b < bitsPerLabel_ && i + b < bits.size(); ++b)
+            label |= (bits[i + b] & 1) << b;
+        res.symbolsSent.push_back(label);
+    }
+
+    const Calibration &cal = calibration();
+    res.tpUs = measure(res.symbolsSent, /*with_noise=*/true);
+    if (res.tpUs.size() != res.symbolsSent.size())
+        throw std::logic_error("CovertLink: reading count mismatch");
+
+    for (double reading : res.tpUs) {
+        int label = cal.decode(reading);
+        res.symbolsReceived.push_back(label);
+        for (int b = 0; b < bitsPerLabel_; ++b)
+            res.receivedBits.push_back(
+                static_cast<std::uint8_t>((label >> b) & 1));
+    }
+    res.receivedBits.resize(bits.size());
+
+    res.bitErrors = hammingDistance(res.sentBits, res.receivedBits);
+    res.ber = bits.empty()
+                  ? 0.0
+                  : static_cast<double>(res.bitErrors) / bits.size();
+    res.seconds = res.symbolsSent.size() * toSeconds(period_);
+    res.throughputBps = res.seconds > 0.0 ? bits.size() / res.seconds : 0.0;
+    return res;
+}
+
+CovertChannel::CovertChannel(ChannelConfig cfg)
+    : CovertLink(kBitsPerSymbol, ChannelConfig::calibrationRepeats,
+                 cfg.period),
+      cfg_(std::move(cfg)), map_(symbolMapFor(cfg_.chip))
+{
 }
 
 CovertChannel::NoiseHandles
@@ -154,52 +204,6 @@ CovertChannel::runClasses(const std::vector<InstClass> &sender,
     if (simHooks_.onFinish)
         simHooks_.onFinish(sim);
     return tp;
-}
-
-const Calibration &
-CovertChannel::calibration()
-{
-    if (!calibration_) {
-        std::vector<int> training;
-        for (int r = 0; r < cfg_.calibrationRepeats; ++r)
-            for (int s = 0; s < kNumSymbols; ++s)
-                training.push_back(s);
-        std::vector<double> tp = runSymbols(training, /*with_noise=*/false);
-        calibration_ = Calibration::fit(training, tp);
-    }
-    return *calibration_;
-}
-
-TransmitResult
-CovertChannel::transmit(const BitVec &bits)
-{
-    TransmitResult res;
-    res.sentBits = bits;
-
-    // Pack bits into 2-bit symbols (zero-padded).
-    for (std::size_t i = 0; i < bits.size(); i += 2) {
-        int b0 = bits[i];
-        int b1 = i + 1 < bits.size() ? bits[i + 1] : 0;
-        res.symbolsSent.push_back(packSymbol(b1, b0));
-    }
-
-    const Calibration &cal = calibration();
-    res.tpUs = runSymbols(res.symbolsSent, /*with_noise=*/true);
-    if (res.tpUs.size() != res.symbolsSent.size())
-        throw std::logic_error("CovertChannel: TP count mismatch");
-
-    for (double tp : res.tpUs)
-        res.symbolsReceived.push_back(cal.decode(tp));
-
-    for (std::size_t i = 0; i < res.symbolsReceived.size(); ++i) {
-        auto rx = unpackSymbol(res.symbolsReceived[i]);
-        res.receivedBits.push_back(static_cast<std::uint8_t>(rx[1]));
-        if (2 * i + 1 < bits.size())
-            res.receivedBits.push_back(static_cast<std::uint8_t>(rx[0]));
-    }
-    res.receivedBits.resize(bits.size());
-    res.score(res.symbolsSent.size() * toSeconds(cfg_.period));
-    return res;
 }
 
 } // namespace ich

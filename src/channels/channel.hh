@@ -1,7 +1,9 @@
 /**
  * @file
- * Common covert-channel framework: configuration, transaction pacing,
- * calibration management, and throughput/BER accounting shared by
+ * Common covert-channel framework. CovertLink is the bit pipe all seven
+ * Fig. 12 contenders share: label packing, calibration, nearest-mean
+ * decoding and throughput/BER accounting. CovertChannel adds the
+ * configuration, transaction pacing and noise plumbing of
  * IccThreadCovert, IccSMTcovert and IccCoresCovert (paper §4, §6).
  *
  * Transactions are wall-clock paced (rdtsc epochs, §4.3.3): each symbol
@@ -87,41 +89,82 @@ ChipConfig pinnedChip(const ChannelConfig &cfg);
  */
 Cycles epochTsc(const ChannelConfig &cfg, std::size_t k);
 
-/** Outcome of one transmit() call. */
+/** Outcome of one CovertLink::transmit() call. */
 struct TransmitResult {
     BitVec sentBits;
     BitVec receivedBits;
-    std::vector<int> symbolsSent;
-    std::vector<int> symbolsReceived;
-    std::vector<double> tpUs; ///< per-transaction receiver measurement
+    std::vector<int> symbolsSent;     ///< label per transaction
+    std::vector<int> symbolsReceived; ///< decoded label per transaction
+    /**
+     * Per-transaction receiver reading: µs, or GHz for the frequency
+     * baselines (TurboCC, DFScovert, PowerT).
+     */
+    std::vector<double> tpUs;
     std::size_t bitErrors = 0;
     double ber = 0.0;
     double seconds = 0.0;        ///< simulated payload transfer time
     double throughputBps = 0.0;  ///< payload bits / seconds
-
-    /**
-     * Fill bitErrors, ber, seconds and throughputBps from sentBits and
-     * receivedBits for a transfer that took @p transfer_seconds.
-     */
-    void score(double transfer_seconds);
 };
 
 /**
- * Base class for the three IChannels covert channels.
+ * A covert link that sends bitsPerLabel payload bits per transaction as
+ * one of 2^bitsPerLabel labels, one transaction per period. The
+ * receiver turns each transaction into one reading (a throttling period
+ * in µs, or a frequency in GHz for the frequency baselines) and decodes
+ * it to the label with the nearest calibrated mean, so the decoder's
+ * polarity comes from calibration, not from the channel.
  */
-class CovertChannel
+class CovertLink
+{
+  public:
+    virtual ~CovertLink() = default;
+    CovertLink(const CovertLink &) = delete;
+    CovertLink &operator=(const CovertLink &) = delete;
+
+    /**
+     * Transmit @p bits (packed LSB-first, zero-padded, bitsPerLabel per
+     * transaction) through the link and decode them on the receiver
+     * side.
+     */
+    TransmitResult transmit(const BitVec &bits);
+
+    /**
+     * Lazily-computed noise-free calibration: trainingRepeats passes
+     * over every label, in label order.
+     */
+    const Calibration &calibration();
+
+    /** Bits per second the transaction pacing supports. */
+    double ratedThroughputBps() const;
+
+  protected:
+    CovertLink(int bits_per_label, int training_repeats, Time period);
+
+    /**
+     * Run one transaction per entry of @p labels and return the
+     * receiver's reading of each. @p with_noise enables the configured
+     * noise sources (calibration runs without them).
+     */
+    virtual std::vector<double> measure(const std::vector<int> &labels,
+                                        bool with_noise) = 0;
+
+  private:
+    int bitsPerLabel_;
+    int trainingRepeats_;
+    Time period_;
+    std::optional<Calibration> calibration_;
+};
+
+/**
+ * Base class for the three IChannels covert channels: two bits per
+ * transaction, one symbol per ChannelConfig::period.
+ */
+class CovertChannel : public CovertLink
 {
   public:
     explicit CovertChannel(ChannelConfig cfg);
-    virtual ~CovertChannel() = default;
 
     virtual ChannelKind kind() const = 0;
-
-    /**
-     * Transmit @p bits (2 per transaction) through the channel and
-     * decode them on the receiver side.
-     */
-    TransmitResult transmit(const BitVec &bits);
 
     /**
      * Run raw symbol transactions and return the receiver's per-symbol
@@ -139,9 +182,6 @@ class CovertChannel
     std::vector<double> runClasses(const std::vector<InstClass> &sender,
                                    bool with_noise);
 
-    /** Lazily-computed noise-free calibration. */
-    const Calibration &calibration();
-
     /**
      * Observer hooks around each internally-constructed Simulation:
      * onStart fires right after construction (attach a
@@ -158,15 +198,18 @@ class CovertChannel
     };
     void setSimHooks(SimHooks hooks) { simHooks_ = std::move(hooks); }
 
-    /** Bits per second the transaction pacing supports. */
-    double ratedThroughputBps() const;
-
     const ChannelConfig &config() const { return cfg_; }
     const SymbolMap &symbolMap() const { return map_; }
 
   protected:
     ChannelConfig cfg_;
     SymbolMap map_;
+
+    std::vector<double> measure(const std::vector<int> &symbols,
+                                bool with_noise) override
+    {
+        return runSymbols(symbols, with_noise);
+    }
 
     /**
      * Channel-specific plumbing: install sender/receiver programs for
@@ -193,7 +236,6 @@ class CovertChannel
     void scheduleBursts(Simulation &sim, std::size_t n_symbols) const;
 
   private:
-    std::optional<Calibration> calibration_;
     SimHooks simHooks_;
     std::uint64_t runCounter_ = 0;
 };

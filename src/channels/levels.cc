@@ -28,16 +28,4 @@ symbolMapFor(const ChipConfig &cfg)
     return map;
 }
 
-int
-packSymbol(int b1, int b0)
-{
-    return ((b1 & 1) << 1) | (b0 & 1);
-}
-
-std::array<int, 2>
-unpackSymbol(int symbol)
-{
-    return {(symbol >> 1) & 1, symbol & 1};
-}
-
 } // namespace ich

@@ -40,12 +40,6 @@ struct SymbolMap {
 /** Symbol map suited to @p cfg's ISA (AVX-512 or not). */
 SymbolMap symbolMapFor(const ChipConfig &cfg);
 
-/** Pack a bit pair (b1 = bits[i+1], b0 = bits[i]) into a symbol value. */
-int packSymbol(int b1, int b0);
-
-/** Unpack symbol into (b1, b0). */
-std::array<int, 2> unpackSymbol(int symbol);
-
 } // namespace ich
 
 #endif // ICH_CHANNELS_LEVELS_HH

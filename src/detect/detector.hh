@@ -1,6 +1,7 @@
 /**
  * @file
- * Online covert-channel detection subsystem (ROADMAP item 4).
+ * Online covert-channel detection subsystem (the ROADMAP's arms-race
+ * item).
  *
  * The paper's mitigation story (tab01) is static: attacks run,
  * mitigations dampen them, nothing *watches* for channel activity at

@@ -1,12 +1,20 @@
 /**
  * @file
  * Tests for TP calibration / nearest-mean decoding (Fig. 3 ranges,
- * Fig. 13 distributions).
+ * Fig. 13 distributions), and for the CovertLink transmit path that
+ * packs bits into labels and decodes them with it.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "baselines/dfscovert.hh"
+#include "baselines/netspectre.hh"
+#include "baselines/powert.hh"
+#include "baselines/turbocc.hh"
 #include "channels/calibration.hh"
+#include "chip/presets.hh"
 
 namespace ich
 {
@@ -73,6 +81,63 @@ TEST(Calibration, FitRejectsBadInput)
     std::vector<double> tps = {1.0, 2.0, 3.0, 4.0, 5.0};
     EXPECT_THROW(Calibration::fit(five, tps), std::invalid_argument);
     EXPECT_NO_THROW(Calibration::fit(five, tps, 5));
+}
+
+/** A noiseless link whose reading is its label. */
+class EchoLink : public CovertLink
+{
+  public:
+    EchoLink() : CovertLink(2, 1, fromMicroseconds(100)) {}
+
+  private:
+    std::vector<double> measure(const std::vector<int> &labels,
+                                bool /*with_noise*/) override
+    {
+        return std::vector<double>(labels.begin(), labels.end());
+    }
+};
+
+TEST(CovertLink, PacksBitsLsbFirstAndZeroPads)
+{
+    EchoLink link;
+    TransmitResult res = link.transmit({1, 0, 0, 1, 1});
+    EXPECT_EQ(res.symbolsSent, (std::vector<int>{1, 2, 1}));
+    EXPECT_EQ(res.symbolsReceived, res.symbolsSent);
+    EXPECT_EQ(res.receivedBits, res.sentBits);
+    EXPECT_EQ(res.bitErrors, 0u);
+    EXPECT_DOUBLE_EQ(res.seconds, 3 * 100e-6);
+    EXPECT_DOUBLE_EQ(link.ratedThroughputBps(), 2 / 100e-6);
+}
+
+TEST(CovertLink, BaselineCalibrationPointsTheWayThePhysicsDoes)
+{
+    // The RoundTripErrorFree seeds of each baseline's own tests.
+    ChannelConfig ns_cfg;
+    ns_cfg.chip = presets::cannonLake();
+    ns_cfg.seed = 19;
+    NetSpectre ns(ns_cfg);
+    TurboCC tc(presets::cannonLake(), 23);
+    DfsCovert dc(presets::cannonLake(), 29);
+    PowerT pt(presets::cannonLake(), 31);
+    // Bit 1 reads lower for NetSpectre (the probe finds the rail already
+    // ramped, µs), TurboCC (AVX2 license drop, GHz) and PowerT (power
+    // cap, GHz), and higher for DFScovert (governor raised, GHz).
+    struct Case {
+        const char *name;
+        CovertLink &link;
+        double sign; ///< expected sign of mean(1) - mean(0)
+    };
+    for (const Case &c : {Case{"NetSpectre", ns, -1.0},
+                          Case{"TurboCC", tc, -1.0},
+                          Case{"DFScovert", dc, +1.0},
+                          Case{"PowerT", pt, -1.0}}) {
+        SCOPED_TRACE(c.name);
+        const Calibration &cal = c.link.calibration();
+        double gap = cal.meanUs(1) - cal.meanUs(0);
+        EXPECT_EQ(gap > 0.0 ? 1.0 : -1.0, c.sign);
+        EXPECT_GT(std::fabs(gap),
+                  5.0 * (cal.stddevUs(0) + cal.stddevUs(1)));
+    }
 }
 
 } // namespace

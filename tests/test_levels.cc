@@ -13,26 +13,6 @@ namespace ich
 namespace
 {
 
-TEST(Levels, PackUnpackRoundTrip)
-{
-    for (int b1 = 0; b1 <= 1; ++b1) {
-        for (int b0 = 0; b0 <= 1; ++b0) {
-            int s = packSymbol(b1, b0);
-            auto bits = unpackSymbol(s);
-            EXPECT_EQ(bits[0], b1);
-            EXPECT_EQ(bits[1], b0);
-        }
-    }
-}
-
-TEST(Levels, SymbolValuesCoverRange)
-{
-    EXPECT_EQ(packSymbol(0, 0), 0);
-    EXPECT_EQ(packSymbol(0, 1), 1);
-    EXPECT_EQ(packSymbol(1, 0), 2);
-    EXPECT_EQ(packSymbol(1, 1), 3);
-}
-
 TEST(Levels, Avx512MapMatchesFigure3)
 {
     SymbolMap map = symbolMapFor(presets::cannonLake());
