@@ -298,7 +298,7 @@ simRunMetrics(std::uint64_t iters, std::uint64_t seed)
 {
     ChipConfig cfg = bench::pinned(presets::cannonLake(), 3.0);
     Simulation sim(cfg, seed);
-    int cores = sim.chip().numCores();
+    int cores = sim.chip().coreCount();
     for (int c = 0; c < cores; ++c) {
         Program p;
         p.mark(0);
@@ -348,7 +348,7 @@ recordRun(bool per_chunk, bool noisy, std::uint64_t iters,
 {
     ChipConfig cfg = bench::pinned(presets::cannonLake(), 3.0);
     Simulation sim(cfg, seed);
-    int cores = sim.chip().numCores();
+    int cores = sim.chip().coreCount();
     for (int c = 0; c < cores; ++c) {
         HwThread &thr = sim.chip().core(c).thread(0);
         thr.setLegacyChunkEvents(per_chunk);

@@ -24,8 +24,8 @@ constexpr double kWindowHi = 0.98;
 } // namespace
 
 DfsCovert::DfsCovert(ChipConfig chip, std::uint64_t seed)
-    : CovertLink(1, kTrainingPairs, kBitTime), chip_(std::move(chip)),
-      seed_(seed)
+    : CovertLink(1, kTrainingPairs, kBitTime, seed),
+      chip_(std::move(chip))
 {
 }
 
@@ -36,7 +36,7 @@ DfsCovert::measure(const std::vector<int> &bits, bool /*with_noise*/)
     chip.pmu.governor.policy = GovernorPolicy::kUserspace;
     chip.pmu.governor.userspaceGhz = kLowGhz;
     chip.pmu.governor.applyLatency = kGovernorApplyLatency;
-    Simulation sim(chip, seed_ + (++runCounter_));
+    Simulation sim(chip, nextRunSeed());
 
     // Sender performs one governor write per bit.
     Chip *chip_ptr = &sim.chip();

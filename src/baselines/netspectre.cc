@@ -10,7 +10,8 @@ constexpr InstClass kGadgetClass = InstClass::k256Heavy;
 } // namespace
 
 NetSpectre::NetSpectre(ChannelConfig cfg)
-    : CovertLink(1, ChannelConfig::calibrationRepeats, cfg.period),
+    : CovertLink(1, ChannelConfig::calibrationRepeats, cfg.period,
+                 cfg.seed),
       cfg_(std::move(cfg))
 {
 }
@@ -18,7 +19,7 @@ NetSpectre::NetSpectre(ChannelConfig cfg)
 std::vector<double>
 NetSpectre::measure(const std::vector<int> &bits, bool /*with_noise*/)
 {
-    Simulation sim(pinnedChip(cfg_), cfg_.seed + (++runCounter_));
+    Simulation sim(pinnedChip(cfg_), nextRunSeed());
 
     Program prog;
     for (std::size_t k = 0; k < bits.size(); ++k) {

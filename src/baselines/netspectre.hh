@@ -29,7 +29,6 @@ class NetSpectre : public CovertLink
 
   private:
     ChannelConfig cfg_;
-    std::uint64_t runCounter_ = 0;
 
     std::vector<double> measure(const std::vector<int> &bits,
                                 bool with_noise) override;

@@ -26,8 +26,8 @@ constexpr InstClass kSenderClass = InstClass::k128Heavy;
 } // namespace
 
 PowerT::PowerT(ChipConfig chip, std::uint64_t seed)
-    : CovertLink(1, kTrainingPairs, kBitTime), chip_(std::move(chip)),
-      seed_(seed)
+    : CovertLink(1, kTrainingPairs, kBitTime, seed),
+      chip_(std::move(chip))
 {
 }
 
@@ -38,7 +38,7 @@ PowerT::chooseLimit()
     // sender's burn loop added, at the top frequency bin; place the
     // limit between so only the burn trips the controller.
     const ChipConfig &chip = chip_;
-    Simulation sim(chip, seed_);
+    Simulation sim(chip, baseSeed());
     const ChipPowerModel &pm = sim.chip().pmu().powerModel();
     double f = chip.pmu.pstate.binsGhz.back();
 
@@ -68,7 +68,7 @@ PowerT::measure(const std::vector<int> &bits, bool /*with_noise*/)
     chip.pmu.powerLimit.enabled = true;
     chip.pmu.powerLimit.limitWatts = limitWatts_;
     chip.pmu.powerLimit.evalInterval = kEvalInterval;
-    Simulation sim(chip, seed_ + (++runCounter_));
+    Simulation sim(chip, nextRunSeed());
 
     double max_ghz = chip.pmu.pstate.binsGhz.back();
     double hold_us = toMicroseconds(kBitTime) * kHoldFraction;

@@ -29,9 +29,7 @@ class PowerT : public CovertLink
 
   private:
     ChipConfig chip_;
-    std::uint64_t seed_;
     double limitWatts_ = 0.0;
-    std::uint64_t runCounter_ = 0;
 
     std::vector<double> measure(const std::vector<int> &bits,
                                 bool with_noise) override;

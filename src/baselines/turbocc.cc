@@ -20,8 +20,8 @@ constexpr InstClass kSenderClass = InstClass::k256Heavy;
 } // namespace
 
 TurboCC::TurboCC(ChipConfig chip, std::uint64_t seed)
-    : CovertLink(1, kTrainingPairs, kBitTime), chip_(std::move(chip)),
-      seed_(seed)
+    : CovertLink(1, kTrainingPairs, kBitTime, seed),
+      chip_(std::move(chip))
 {
 }
 
@@ -30,7 +30,7 @@ TurboCC::measure(const std::vector<int> &bits, bool /*with_noise*/)
 {
     ChipConfig chip = chip_;
     chip.pmu.governor.policy = GovernorPolicy::kPerformance;
-    Simulation sim(chip, seed_ + (++runCounter_));
+    Simulation sim(chip, nextRunSeed());
 
     // Hold duration in sender-loop iterations at the LVL1 license
     // frequency (the frequency while the loop runs).

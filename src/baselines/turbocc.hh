@@ -27,8 +27,6 @@ class TurboCC : public CovertLink
 
   private:
     ChipConfig chip_;
-    std::uint64_t seed_;
-    std::uint64_t runCounter_ = 0;
 
     std::vector<double> measure(const std::vector<int> &bits,
                                 bool with_noise) override;

@@ -69,9 +69,9 @@ epochTsc(const ChannelConfig &cfg, std::size_t k)
 }
 
 CovertLink::CovertLink(int bits_per_label, int training_repeats,
-                       Time period)
+                       Time period, std::uint64_t seed)
     : bitsPerLabel_(bits_per_label), trainingRepeats_(training_repeats),
-      period_(period)
+      period_(period), seed_(seed)
 {
 }
 
@@ -135,7 +135,7 @@ CovertLink::transmit(const BitVec &bits)
 
 CovertChannel::CovertChannel(ChannelConfig cfg)
     : CovertLink(kBitsPerSymbol, ChannelConfig::calibrationRepeats,
-                 cfg.period),
+                 cfg.period, cfg.seed),
       cfg_(std::move(cfg)), map_(symbolMapFor(cfg_.chip))
 {
 }
@@ -197,7 +197,7 @@ CovertChannel::runClasses(const std::vector<InstClass> &sender,
 {
     if (sender.empty())
         return {};
-    Simulation sim(pinnedChip(cfg_), cfg_.seed + (++runCounter_));
+    Simulation sim(pinnedChip(cfg_), nextRunSeed());
     if (simHooks_.onStart)
         simHooks_.onStart(sim);
     std::vector<double> tp = runOnSimulation(sim, sender, with_noise);

@@ -138,7 +138,8 @@ class CovertLink
     double ratedThroughputBps() const;
 
   protected:
-    CovertLink(int bits_per_label, int training_repeats, Time period);
+    CovertLink(int bits_per_label, int training_repeats, Time period,
+               std::uint64_t seed);
 
     /**
      * Run one transaction per entry of @p labels and return the
@@ -148,10 +149,22 @@ class CovertLink
     virtual std::vector<double> measure(const std::vector<int> &labels,
                                         bool with_noise) = 0;
 
+    /** The link seed every run's seed derives from. */
+    std::uint64_t baseSeed() const { return seed_; }
+
+    /**
+     * Seed for the next run's Simulation: the link seed plus the run's
+     * 1-based index, counting every run of this link (calibration
+     * included).
+     */
+    std::uint64_t nextRunSeed() { return seed_ + (++runCounter_); }
+
   private:
     int bitsPerLabel_;
     int trainingRepeats_;
     Time period_;
+    std::uint64_t seed_;
+    std::uint64_t runCounter_ = 0;
     std::optional<Calibration> calibration_;
 };
 
@@ -237,7 +250,6 @@ class CovertChannel : public CovertLink
 
   private:
     SimHooks simHooks_;
-    std::uint64_t runCounter_ = 0;
 };
 
 } // namespace ich

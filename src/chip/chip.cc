@@ -12,8 +12,7 @@ Chip::Chip(EventQueue &eq, Rng &rng, const ChipConfig &cfg)
     for (CoreId i = 0; i < cfg_.numCores; ++i)
         cores_.push_back(std::make_unique<Core>(*this, i, cfg_.core));
     activity_.resize(cores_.size());
-    pmu_ = std::make_unique<CentralPmu>(eq_, rng_, ticker_, cfg_.pmu,
-                                        *this);
+    pmu_ = std::make_unique<CentralPmu>(*this, cfg_.pmu);
     planner_ = std::make_unique<HorizonPlanner>(ticker_);
     thermalTick_.chip = this;
     if (cfg_.thermal.sampleInterval > 0)

@@ -2,8 +2,9 @@
  * @file
  * Chip: the full SoC model of Figure 1 — CPU cores with SMT threads and
  * throttle units, shared PLL clock domain, central PMU, VR/SVID power
- * delivery, and a thermal node. Implements ChipApi (services for the
- * execution model) and PmuHooks (services for the PMU).
+ * delivery, and a thermal node. Threads and the PMU call it directly:
+ * threads for the clock, TSC and event queue and to report activity,
+ * the PMU to throttle cores and read their activity.
  */
 
 #ifndef ICH_CHIP_CHIP_HH
@@ -18,8 +19,8 @@
 #include "common/rng.hh"
 #include "common/ticker.hh"
 #include "common/types.hh"
-#include "cpu/chip_api.hh"
 #include "cpu/core.hh"
+#include "isa/inst_class.hh"
 #include "pmu/central_pmu.hh"
 #include "thermal/thermal_model.hh"
 
@@ -38,7 +39,7 @@ struct ChipConfig {
 };
 
 /** The processor. */
-class Chip : public ChipApi, public PmuHooks
+class Chip
 {
   public:
     Chip(EventQueue &eq, Rng &rng, const ChipConfig &cfg);
@@ -64,33 +65,58 @@ class Chip : public ChipApi, public PmuHooks
     const ChipConfig &config() const { return cfg_; }
     ///@}
 
-    /** @name ChipApi */
+    /** @name Services for cores and threads */
     ///@{
-    EventQueue &eventQueue() override { return eq_; }
-    Rng &rng() override { return rng_; }
-    double freqGhz() const override { return pmu_->freqGhz(); }
-    Cycles tscNow() const override;
-    Cycles tscAt(Time t) const override;
-    double tscGhz() const override { return cfg_.tscGhz; }
-    Time tscToTime(Cycles tsc) const override;
-    void phiStarted(CoreId core, int smt, InstClass cls) override;
-    void kernelEnded(CoreId core, int smt, InstClass cls) override;
-    void activityChanged(CoreId core) override;
+    EventQueue &eventQueue() { return eq_; }
+    Rng &rng() { return rng_; }
+    /** Current core clock frequency (all cores share one PLL). */
+    double freqGhz() const { return pmu_->freqGhz(); }
+    /** Invariant TSC (counts at the base clock regardless of P-state). */
+    Cycles tscNow() const;
+    /** Invariant TSC value at simulated time @p t (record backdating). */
+    Cycles tscAt(Time t) const;
+    /** Invariant TSC rate, GHz (hoisted out of record-emission loops;
+     *  tscAt(t) == llround(double(t) * tscGhz() / 1000.0)). */
+    double tscGhz() const { return cfg_.tscGhz; }
+    Time tscToTime(Cycles tsc) const;
+    /**
+     * A thread began executing a loop of @p cls. The PMU decides whether
+     * a guardband increase (and hence throttling) is needed.
+     */
+    void phiStarted(CoreId core, int smt, InstClass cls);
+    /** A loop of @p cls finished (hysteresis bookkeeping). */
+    void kernelEnded(CoreId core, int smt, InstClass cls);
+    /**
+     * What a thread of @p core reports through activeNow() or
+     * currentClass() changed (and hence the chip current draw). Must be
+     * called right after every such change, before anything can query
+     * chip power: coreActivity() is kept current from these calls alone.
+     */
+    void activityChanged(CoreId core);
     ///@}
 
-    /** @name PmuHooks */
+    /** @name Services for the PMU */
     ///@{
-    int numCores() const override { return cfg_.numCores; }
+    /** Accrue + assert + re-rate the given core's threads. */
     void assertCoreThrottle(CoreId core, ThrottleReason reason,
-                            int initiator) override;
-    void deassertCoreThrottle(CoreId core, ThrottleReason reason) override;
+                            int initiator);
+    void deassertCoreThrottle(CoreId core, ThrottleReason reason);
     /**
      * The per-core activity summary: entry i equals core(i).activity()
-     * at every query. Kept current by activityChanged(core), so a power
-     * query reads it without walking any thread.
+     * (gbLevel left 0 for the PMU to fill) at every query. Kept current
+     * by activityChanged(core), so a power query reads it without
+     * walking any thread. A view: read it, do not hold it across a
+     * thread state change.
      */
-    const std::vector<CoreActivity> &coreActivity() const override;
-    void beforeFreqChange() override;
+    const std::vector<CoreActivity> &coreActivity() const;
+    /**
+     * The shared PLL is about to change frequency. Threads defer
+     * chunk-record materialization analytically, replaying it on demand
+     * at the *current* rate, so everything still pending is
+     * materialized here at the old frequency. Must be called
+     * immediately before every freqGhz() change.
+     */
+    void beforeFreqChange();
     ///@}
 
     /** @name Convenience measurement points (the "sense resistors") */

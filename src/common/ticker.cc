@@ -106,10 +106,9 @@ Ticker::armGroup(Group &g)
     pumpIndexDirty_ = true;
 }
 
-void
-Ticker::fireGroup(Group &g)
+bool
+Ticker::tickMembers(Group &g)
 {
-    g.event = EventQueue::kInvalidEvent;
     g.dispatching = true;
     Time now = eq_.now();
     // Fixed bound: members added during the pass tick next period.
@@ -130,7 +129,14 @@ Ticker::fireGroup(Group &g)
                 g.members[w++] = g.members[i];
         g.members.resize(w);
     }
-    if (g.members.empty()) {
+    return !g.members.empty();
+}
+
+void
+Ticker::fireGroup(Group &g)
+{
+    g.event = EventQueue::kInvalidEvent;
+    if (!tickMembers(g)) {
         pruneGroup(&g); // frees g — must be the last use
         return;
     }
@@ -147,27 +153,7 @@ Ticker::fireGroupInline(Group &g)
     // group as armed and skips arming — the same outcome fireGroup()'s
     // dispatching guard produces — and the new member still first
     // ticks on the next period via its minDue.
-    g.dispatching = true;
-    Time now = eq_.now();
-    // Fixed bound: members added during the pass tick next period.
-    const std::size_t count = g.members.size();
-    for (std::size_t i = 0; i < count; ++i) {
-        const Member &m = g.members[i];
-        if (m.clocked != nullptr && now >= m.minDue) {
-            ++ticks_;
-            m.clocked->tick(now);
-        }
-    }
-    g.dispatching = false;
-    if (g.hasHoles) {
-        g.hasHoles = false;
-        std::size_t w = 0;
-        for (std::size_t i = 0; i < g.members.size(); ++i)
-            if (g.members[i].clocked != nullptr)
-                g.members[w++] = g.members[i];
-        g.members.resize(w);
-    }
-    if (g.members.empty()) {
+    if (!tickMembers(g)) {
         // The popped path had already consumed the event; here it is
         // still pending and must be cancelled explicitly.
         eq_.deschedule(g.event);

@@ -168,6 +168,13 @@ class Ticker
 
     Group &groupFor(TickRate rate);
     void armGroup(Group &g);
+    /**
+     * Tick @p g's members due now in registration order, then compact
+     * the holes left by members removed during the pass. Shared by the
+     * popped and the inline fire. @return false when the group is left
+     * empty (the caller prunes it).
+     */
+    bool tickMembers(Group &g);
     void fireGroup(Group &g);
     void fireGroupInline(Group &g);
     void pruneGroup(Group *g);

@@ -2,18 +2,18 @@
 
 #include <algorithm>
 
+#include "chip/chip.hh"
 #include "isa/inst_class.hh"
 
 namespace ich
 {
 
-Core::Core(ChipApi &chip, CoreId id, const CoreConfig &cfg)
-    : chip_(chip), id_(id), cfg_(cfg), throttle_(cfg.throttle),
+Core::Core(Chip &chip, CoreId id, const CoreConfig &cfg)
+    : id_(id), cfg_(cfg), throttle_(cfg.throttle),
       avxGate_(chip.eventQueue(), chip.rng(), cfg.avxGate)
 {
     for (int i = 0; i < cfg_.smtThreads; ++i)
-        threads_.push_back(std::make_unique<HwThread>(*this, chip_, id_,
-                                                      i));
+        threads_.push_back(std::make_unique<HwThread>(*this, chip, id_, i));
 }
 
 void

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "cpu/chip_api.hh"
 #include "cpu/thread.hh"
 #include "cpu/throttle_unit.hh"
 #include "pdn/power_gate.hh"
@@ -20,6 +19,8 @@
 
 namespace ich
 {
+
+class Chip;
 
 /** Per-core configuration. */
 struct CoreConfig {
@@ -34,7 +35,7 @@ struct CoreConfig {
 class Core
 {
   public:
-    Core(ChipApi &chip, CoreId id, const CoreConfig &cfg);
+    Core(Chip &chip, CoreId id, const CoreConfig &cfg);
 
     Core(const Core &) = delete;
     Core &operator=(const Core &) = delete;
@@ -74,7 +75,6 @@ class Core
     CoreActivity activity() const;
 
   private:
-    ChipApi &chip_;
     CoreId id_;
     CoreConfig cfg_;
     ThrottleUnit throttle_;

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "chip/chip.hh"
 #include "cpu/core.hh"
 
 namespace ich
@@ -48,7 +49,7 @@ loopBoundaryWhen(Time anchor, double iters_done, double next_record,
 
 } // namespace
 
-HwThread::HwThread(Core &core, ChipApi &chip, CoreId core_id, int smt_idx)
+HwThread::HwThread(Core &core, Chip &chip, CoreId core_id, int smt_idx)
     : core_(core), chip_(chip), coreId_(core_id), smtIdx_(smt_idx)
 {
     replayCache_.reserve(kMaxReplayBoundaries);

@@ -35,20 +35,20 @@
 
 #include "common/event_queue.hh"
 #include "common/types.hh"
-#include "cpu/chip_api.hh"
 #include "cpu/perf_counters.hh"
 #include "isa/program.hh"
 
 namespace ich
 {
 
+class Chip;
 class Core;
 
 /** One SMT hardware thread. */
 class HwThread
 {
   public:
-    HwThread(Core &core, ChipApi &chip, CoreId core_id, int smt_idx);
+    HwThread(Core &core, Chip &chip, CoreId core_id, int smt_idx);
 
     // Not copyable/movable: threads self-reference via scheduled events.
     HwThread(const HwThread &) = delete;
@@ -126,7 +126,7 @@ class HwThread
 
   private:
     Core &core_;
-    ChipApi &chip_;
+    Chip &chip_;
     CoreId coreId_;
     int smtIdx_;
 

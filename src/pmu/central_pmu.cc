@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "chip/chip.hh"
+
 namespace ich
 {
 
@@ -21,24 +23,23 @@ constexpr Time kPstateTransitionLatency = fromMicroseconds(10);
 constexpr Time kLicenseReleaseDelay = fromMilliseconds(12);
 } // namespace
 
-CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
-                       const PmuConfig &cfg, PmuHooks &hooks)
-    : eq_(eq), rng_(rng), ticker_(ticker), cfg_(cfg), hooks_(hooks),
+CentralPmu::CentralPmu(Chip &chip, const PmuConfig &cfg)
+    : chip_(chip), eq_(chip.eventQueue()), cfg_(cfg),
       gbModel_(LoadLine(cfg.rllOhm), cfg.vf),
-      powerModel_(gbModel_, cfg.leakagePerCoreAmps, hooks.numCores()),
+      powerModel_(gbModel_, cfg.leakagePerCoreAmps, chip.coreCount()),
       governor_(cfg.governor)
 {
-    coreState_.assign(hooks_.numCores(), CoreState{});
+    coreState_.assign(chip_.coreCount(), CoreState{});
     governorEval_.pmu = this;
     if (cfg_.governor.evalInterval > 0)
-        ticker_.add(governorEval_,
-                    TickRate{cfg_.governor.evalInterval, 0, 0});
+        chip_.ticker().add(governorEval_,
+                           TickRate{cfg_.governor.evalInterval, 0, 0});
 
     // Initial frequency: governor request clipped by limits at idle.
     double desired = governor_.requestGhz(cfg_.pstate.binsGhz.front(),
                                           cfg_.pstate.binsGhz.back());
     desired = snapDownToBin(desired, cfg_.pstate.binsGhz);
-    std::vector<CoreActivity> idle(hooks_.numCores());
+    std::vector<CoreActivity> idle(chip_.coreCount());
     if (cfg_.secureMode) {
         int top = gbModel_.numLevels() - 1;
         for (auto &a : idle)
@@ -57,15 +58,15 @@ CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
     // guardband for every core).
     // Rails come up already settled at the initial operating point
     // (computeDomainTarget only needs coreState_ and the models).
-    int domains = cfg_.perCoreVr ? hooks_.numCores() : 1;
+    int domains = cfg_.perCoreVr ? chip_.coreCount() : 1;
     for (int d = 0; d < domains; ++d) {
         vrs_.push_back(std::make_unique<VoltageRegulator>(
-            eq_, cfg_.vr, computeDomainTarget(d), &rng_));
+            eq_, cfg_.vr, computeDomainTarget(d), &chip_.rng()));
         svids_.push_back(std::make_unique<Svid>(eq_, *vrs_.back()));
     }
 
     powerLimiter_ = std::make_unique<PowerLimiter>(
-        ticker_, cfg_.powerLimit, cfg_.pstate.binsGhz,
+        chip_.ticker(), cfg_.powerLimit, cfg_.pstate.binsGhz,
         [this] { return averagePowerSinceProbe(); },
         [this] { reevaluateFreq(); },
         [this] {
@@ -84,7 +85,7 @@ CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
 CentralPmu::~CentralPmu()
 {
     if (cfg_.governor.evalInterval > 0)
-        ticker_.remove(governorEval_);
+        chip_.ticker().remove(governorEval_);
 }
 
 int
@@ -106,7 +107,7 @@ double
 CentralPmu::computeDomainTarget(int domain) const
 {
     double v = gbModel_.baseVolts(freqGhz_);
-    for (CoreId c = 0; c < hooks_.numCores(); ++c) {
+    for (CoreId c = 0; c < chip_.coreCount(); ++c) {
         if (domainOf(c) != domain)
             continue;
         v += gbModel_.gbVolts(effectiveLevel(coreState_[c]), freqGhz_);
@@ -117,7 +118,7 @@ CentralPmu::computeDomainTarget(int domain) const
 const std::vector<CoreActivity> &
 CentralPmu::activityWithLevels()
 {
-    activityBuf_ = hooks_.coreActivity();
+    activityBuf_ = chip_.coreActivity();
     std::size_t n = std::min(activityBuf_.size(), coreState_.size());
     for (std::size_t c = 0; c < n; ++c)
         activityBuf_[c].gbLevel = effectiveLevel(coreState_[c]);
@@ -133,7 +134,7 @@ CentralPmu::voltsDomain(int domain) const
 double
 CentralPmu::iccAmps() const
 {
-    return powerModel_.iccAmps(freqGhz_, volts(), hooks_.coreActivity());
+    return powerModel_.iccAmps(freqGhz_, volts(), chip_.coreActivity());
 }
 
 double
@@ -166,8 +167,8 @@ CentralPmu::onPhiStart(CoreId core, int smt, InstClass cls)
         cs.pending = lvl;
         if (!cs.throttledForV) {
             cs.throttledForV = true;
-            hooks_.assertCoreThrottle(core, ThrottleReason::kVoltageRamp,
-                                      smt);
+            chip_.assertCoreThrottle(core, ThrottleReason::kVoltageRamp,
+                                     smt);
         }
         submitUpTransition(core, lvl, domainOf(core));
     }
@@ -192,13 +193,13 @@ CentralPmu::submitUpTransition(CoreId core, int lvl, int domain)
 void
 CentralPmu::releaseDomainThrottles(int domain)
 {
-    for (CoreId c = 0; c < hooks_.numCores(); ++c) {
+    for (CoreId c = 0; c < chip_.coreCount(); ++c) {
         if (domainOf(c) != domain)
             continue;
         auto &cs = coreState_[c];
         if (cs.throttledForV) {
             cs.throttledForV = false;
-            hooks_.deassertCoreThrottle(c, ThrottleReason::kVoltageRamp);
+            chip_.deassertCoreThrottle(c, ThrottleReason::kVoltageRamp);
         }
     }
 }
@@ -238,7 +239,7 @@ CentralPmu::decayCheck(CoreId core)
     }
     // A long-running PHI kernel keeps the guardband alive even though its
     // start stamp has aged past the reset-time.
-    if (hooks_.coreActivity().at(core).activeGbLevel > 0) {
+    if (chip_.coreActivity().at(core).activeGbLevel > 0) {
         cs.lastPhi = eq_.now();
         scheduleDecay(core);
         return;
@@ -329,14 +330,14 @@ CentralPmu::startPstateTransition(double target_ghz)
     assert(!pstateInFlight_);
     pstateInFlight_ = true;
     ++pstateCount_;
-    for (CoreId c = 0; c < hooks_.numCores(); ++c)
-        hooks_.assertCoreThrottle(c, ThrottleReason::kPstate, 0);
+    for (CoreId c = 0; c < chip_.coreCount(); ++c)
+        chip_.assertCoreThrottle(c, ThrottleReason::kPstate, 0);
     auto cb = [this, target_ghz] {
         accrueEnergy();
-        hooks_.beforeFreqChange();
+        chip_.beforeFreqChange();
         freqGhz_ = target_ghz;
-        for (CoreId c = 0; c < hooks_.numCores(); ++c)
-            hooks_.deassertCoreThrottle(c, ThrottleReason::kPstate);
+        for (CoreId c = 0; c < chip_.coreCount(); ++c)
+            chip_.deassertCoreThrottle(c, ThrottleReason::kPstate);
         pstateInFlight_ = false;
         for (int d = 0; d < numDomains(); ++d) {
             double target = computeDomainTarget(d);

@@ -29,10 +29,8 @@
 #include <vector>
 
 #include "common/event_queue.hh"
-#include "common/rng.hh"
 #include "common/ticker.hh"
 #include "common/types.hh"
-#include "cpu/throttle_unit.hh"
 #include "isa/inst_class.hh"
 #include "pdn/svid.hh"
 #include "pdn/vr.hh"
@@ -45,33 +43,7 @@
 namespace ich
 {
 
-/** Chip services the PMU needs (implemented by Chip). */
-class PmuHooks
-{
-  public:
-    virtual ~PmuHooks() = default;
-
-    virtual int numCores() const = 0;
-    /** Accrue + assert + re-rate the given core's threads. */
-    virtual void assertCoreThrottle(CoreId core, ThrottleReason reason,
-                                    int initiator) = 0;
-    virtual void deassertCoreThrottle(CoreId core,
-                                      ThrottleReason reason) = 0;
-    /**
-     * Per-core instantaneous activity (gbLevel left 0 for the PMU to
-     * fill). A view of state the implementer keeps current: read it,
-     * do not hold it across a thread state change.
-     */
-    virtual const std::vector<CoreActivity> &coreActivity() const = 0;
-    /**
-     * The shared PLL is about to change frequency. Threads defer
-     * chunk-record materialization analytically, replaying it on demand
-     * at the *current* rate — so everything still pending must be
-     * materialized at the old frequency before the new one becomes
-     * visible. Called immediately before every freqGhz() change.
-     */
-    virtual void beforeFreqChange() = 0;
-};
+class Chip;
 
 /** PMU configuration. */
 struct PmuConfig {
@@ -94,8 +66,9 @@ struct PmuConfig {
 class CentralPmu
 {
   public:
-    CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
-               const PmuConfig &cfg, PmuHooks &hooks);
+    /** @p chip's cores must exist: the PMU sizes its per-core state
+     *  from them. */
+    CentralPmu(Chip &chip, const PmuConfig &cfg);
     ~CentralPmu();
 
     CentralPmu(const CentralPmu &) = delete;
@@ -174,11 +147,9 @@ class CentralPmu
         }
     };
 
+    Chip &chip_;
     EventQueue &eq_;
-    Rng &rng_;
-    Ticker &ticker_;
     PmuConfig cfg_;
-    PmuHooks &hooks_;
     PeriodicEval governorEval_;
 
     GuardbandModel gbModel_;

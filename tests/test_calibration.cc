@@ -87,7 +87,7 @@ TEST(Calibration, FitRejectsBadInput)
 class EchoLink : public CovertLink
 {
   public:
-    EchoLink() : CovertLink(2, 1, fromMicroseconds(100)) {}
+    EchoLink() : CovertLink(2, 1, fromMicroseconds(100), /*seed=*/0) {}
 
   private:
     std::vector<double> measure(const std::vector<int> &labels,

@@ -40,6 +40,10 @@ TEST(CoresChannel, NoiselessRoundTripIsErrorFree)
     EXPECT_EQ(res.bitErrors, 0u);
     // Pins every tpUs sample, the decoded bits and the rate exactly.
     EXPECT_EQ(test::transmitDigest(res), 0x5BB3BC2B0EC170E0ULL);
+    // A second transmit runs at the next run seed (run 3, after
+    // calibration and the first transmit).
+    EXPECT_EQ(test::transmitDigest(ch.transmit(bits)),
+              0x23D2D9893CF502BCULL);
 }
 
 TEST(CoresChannel, CalibrationLevelsIncreaseWithSenderIntensity)

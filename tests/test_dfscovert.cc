@@ -24,6 +24,11 @@ TEST(DfsCovert, RoundTripErrorFree)
     EXPECT_EQ(res.bitErrors, 0u);
     // Pins every tpUs sample, the decoded bits and the rate exactly.
     EXPECT_EQ(test::transmitDigest(res), 0x02159E2DDD5CF5FFULL);
+    // A second transmit runs at the next run seed (run 3, after
+    // calibration and the first transmit); no DFScovert reading
+    // depends on the seed, so it repeats the first.
+    EXPECT_EQ(test::transmitDigest(dc.transmit(bits)),
+              0x02159E2DDD5CF5FFULL);
 }
 
 TEST(DfsCovert, ThroughputNearPaperValue)

@@ -34,6 +34,10 @@ TEST(NetSpectre, RoundTripErrorFree)
     EXPECT_EQ(res.bitErrors, 0u);
     // Pins every tpUs sample, the decoded bits and the rate exactly.
     EXPECT_EQ(test::transmitDigest(res), 0xA1F7C94E105BDAE0ULL);
+    // A second transmit runs at the next run seed (run 3, after
+    // calibration and the first transmit).
+    EXPECT_EQ(test::transmitDigest(ns.transmit(bits)),
+              0x607D6BC83EE41DABULL);
 }
 
 TEST(NetSpectre, OneBitPerTransaction)

@@ -23,6 +23,11 @@ TEST(PowerT, RoundTripErrorFree)
     EXPECT_EQ(res.bitErrors, 0u);
     // Pins every tpUs sample, the decoded bits and the rate exactly.
     EXPECT_EQ(test::transmitDigest(res), 0x9FA79282092B1DCFULL);
+    // A second transmit runs at the next run seed (run 3, after
+    // calibration and the first transmit); no PowerT reading
+    // depends on the seed, so it repeats the first.
+    EXPECT_EQ(test::transmitDigest(pt.transmit(bits)),
+              0x9FA79282092B1DCFULL);
 }
 
 TEST(PowerT, ThroughputNearPaperValue)

@@ -40,6 +40,10 @@ TEST(SmtChannel, NoiselessRoundTripIsErrorFree)
     EXPECT_EQ(res.bitErrors, 0u);
     // Pins every tpUs sample, the decoded bits and the rate exactly.
     EXPECT_EQ(test::transmitDigest(res), 0xEB6E9A457BB7915CULL);
+    // A second transmit runs at the next run seed (run 3, after
+    // calibration and the first transmit).
+    EXPECT_EQ(test::transmitDigest(ch.transmit(bits)),
+              0x1D1FE7B5B9FE0888ULL);
 }
 
 TEST(SmtChannel, CalibrationLevelsIncreaseWithIntensity)

@@ -33,6 +33,10 @@ TEST(ThreadChannel, NoiselessRoundTripIsErrorFree)
     EXPECT_DOUBLE_EQ(res.ber, 0.0);
     // Pins every tpUs sample, the decoded bits and the rate exactly.
     EXPECT_EQ(test::transmitDigest(res), 0x45AF66F4E5EE59CCULL);
+    // A second transmit runs at the next run seed (run 3, after
+    // calibration and the first transmit).
+    EXPECT_EQ(test::transmitDigest(ch.transmit(bits)),
+              0x8DF686B57A58052FULL);
 }
 
 TEST(ThreadChannel, ThroughputMatchesPaperScale)

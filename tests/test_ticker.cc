@@ -19,10 +19,12 @@ namespace ich
 namespace
 {
 
+using Journal = std::vector<std::pair<std::string, Time>>;
+
 /** Records (name, tick time) into a shared journal. */
-struct Recorder final : Clocked {
+struct Recorder : Clocked {
     std::string name;
-    std::vector<std::pair<std::string, Time>> *journal = nullptr;
+    Journal *journal = nullptr;
     std::uint64_t ticks = 0;
 
     void
@@ -33,6 +35,22 @@ struct Recorder final : Clocked {
             journal->emplace_back(name, now);
     }
 };
+
+/**
+ * Run @p eq to @p t by popping every event or, with @p pump, the way
+ * Simulation::runFor does: due tick groups fire in place through
+ * Ticker::fastForward() and only other events pop.
+ */
+void
+advance(EventQueue &eq, Ticker &ticker, Time t, bool pump)
+{
+    while (pump) {
+        ticker.fastForward(t);
+        if (eq.nextEventTime() > t || !eq.runOne())
+            break;
+    }
+    eq.runUntil(t);
+}
 
 TEST(Ticker, SameRateMembersTickInRegistrationOrder)
 {
@@ -115,14 +133,15 @@ TEST(Ticker, FirstTickStrictlyAfterRegistration)
 }
 
 /** Member that adds another member to its own group while ticking. */
-struct SelfExpanding final : Clocked {
+struct SelfExpanding final : Recorder {
     Ticker *ticker = nullptr;
     Recorder *spawn = nullptr;
     bool done = false;
 
     void
-    tick(Time) override
+    tick(Time now) override
     {
+        Recorder::tick(now);
         if (!done) {
             done = true;
             ticker->add(*spawn, TickRate{100, 0, 0});
@@ -149,32 +168,44 @@ TEST(Ticker, JoiningAGroupAtItsFireTimestampTicksNextPeriod)
     EXPECT_EQ(b.ticks, 1u);
 }
 
+// The three mutation tests below run each scenario through the popped
+// dispatch and through the fast-forward pump, whose inline fires must
+// tick the same members at the same times.
+
 TEST(Ticker, MemberAddedDuringDispatchTicksNextPeriod)
 {
-    EventQueue eq;
-    Ticker ticker(eq);
-    SelfExpanding grower;
-    Recorder spawned;
-    grower.ticker = &ticker;
-    grower.spawn = &spawned;
-    ticker.add(grower, TickRate{100, 0, 0});
+    Journal logs[2];
+    for (bool pump : {false, true}) {
+        SCOPED_TRACE(pump ? "fast-forward pump" : "popped dispatch");
+        EventQueue eq;
+        Ticker ticker(eq);
+        SelfExpanding grower;
+        Recorder spawned;
+        grower.name = "grower";
+        spawned.name = "spawned";
+        grower.journal = spawned.journal = &logs[pump];
+        grower.ticker = &ticker;
+        grower.spawn = &spawned;
+        ticker.add(grower, TickRate{100, 0, 0});
 
-    eq.runUntil(100);
-    EXPECT_EQ(spawned.ticks, 0u); // not ticked in the pass that added it
-    eq.runUntil(200);
-    EXPECT_EQ(spawned.ticks, 1u);
+        advance(eq, ticker, 100, pump);
+        EXPECT_EQ(spawned.ticks, 0u); // not ticked in the pass that added it
+        advance(eq, ticker, 200, pump);
+        EXPECT_EQ(spawned.ticks, 1u);
+        EXPECT_EQ(ticker.ffFires(), pump ? eq.executedEvents() : 0u);
+    }
+    EXPECT_EQ(logs[1], logs[0]);
 }
 
 /** Member that removes itself (and optionally a peer) while ticking. */
-struct SelfRemoving final : Clocked {
+struct SelfRemoving final : Recorder {
     Ticker *ticker = nullptr;
     Clocked *also = nullptr;
-    std::uint64_t ticks = 0;
 
     void
-    tick(Time) override
+    tick(Time now) override
     {
-        ++ticks;
+        Recorder::tick(now);
         ticker->remove(*this);
         if (also)
             ticker->remove(*also);
@@ -183,40 +214,71 @@ struct SelfRemoving final : Clocked {
 
 TEST(Ticker, UnregisterDuringDispatchSkipsAndStops)
 {
-    EventQueue eq;
-    Ticker ticker(eq);
-    SelfRemoving first;
-    Recorder victim; // registered after `first`; removed mid-pass
-    Recorder survivor;
-    first.ticker = &ticker;
-    first.also = &victim;
-    ticker.add(first, TickRate{50, 0, 0});
-    ticker.add(victim, TickRate{50, 0, 0});
-    ticker.add(survivor, TickRate{50, 0, 0});
+    Journal logs[2];
+    for (bool pump : {false, true}) {
+        SCOPED_TRACE(pump ? "fast-forward pump" : "popped dispatch");
+        EventQueue eq;
+        Ticker ticker(eq);
+        SelfRemoving first;
+        Recorder victim; // registered after `first`; removed mid-pass
+        Recorder survivor;
+        first.name = "first";
+        victim.name = "victim";
+        survivor.name = "survivor";
+        first.journal = victim.journal = survivor.journal = &logs[pump];
+        first.ticker = &ticker;
+        first.also = &victim;
+        ticker.add(first, TickRate{50, 0, 0});
+        ticker.add(victim, TickRate{50, 0, 0});
+        ticker.add(survivor, TickRate{50, 0, 0});
 
-    eq.runUntil(200);
-    EXPECT_EQ(first.ticks, 1u);   // removed itself after the first pass
-    EXPECT_EQ(victim.ticks, 0u);  // removed before its slot in the pass
-    EXPECT_EQ(survivor.ticks, 4u);
-    EXPECT_EQ(ticker.memberCount(), 1u);
-    EXPECT_FALSE(ticker.contains(first));
-    EXPECT_TRUE(ticker.contains(survivor));
+        advance(eq, ticker, 200, pump);
+        EXPECT_EQ(first.ticks, 1u);  // removed itself after the first pass
+        EXPECT_EQ(victim.ticks, 0u); // removed before its slot in the pass
+        EXPECT_EQ(survivor.ticks, 4u);
+        EXPECT_EQ(ticker.memberCount(), 1u);
+        EXPECT_FALSE(ticker.contains(first));
+        EXPECT_TRUE(ticker.contains(survivor));
+        EXPECT_EQ(ticker.ffFires(), pump ? eq.executedEvents() : 0u);
+    }
+    EXPECT_EQ(logs[1], logs[0]);
 }
 
 TEST(Ticker, EmptiedGroupStopsSchedulingAndRevives)
 {
-    EventQueue eq;
-    Ticker ticker(eq);
-    Recorder r;
-    ticker.add(r, TickRate{10, 0, 0});
-    eq.runUntil(25);
-    EXPECT_EQ(r.ticks, 2u);
-    ticker.remove(r);
-    EXPECT_TRUE(eq.empty()); // the group event was descheduled
-    eq.runUntil(95);
-    ticker.add(r, TickRate{10, 0, 0});
-    eq.runUntil(110);
-    EXPECT_EQ(r.ticks, 4u); // revived on the grid: 100, 110
+    Journal logs[2];
+    for (bool pump : {false, true}) {
+        SCOPED_TRACE(pump ? "fast-forward pump" : "popped dispatch");
+        EventQueue eq;
+        Ticker ticker(eq);
+        Recorder r;
+        r.name = "r";
+        r.journal = &logs[pump];
+        ticker.add(r, TickRate{10, 0, 0});
+        advance(eq, ticker, 25, pump);
+        EXPECT_EQ(r.ticks, 2u);
+        ticker.remove(r);
+        EXPECT_TRUE(eq.empty()); // the group event was descheduled
+        advance(eq, ticker, 95, pump);
+        ticker.add(r, TickRate{10, 0, 0});
+        advance(eq, ticker, 110, pump);
+        EXPECT_EQ(r.ticks, 4u); // revived on the grid: 100, 110
+
+        // A lone member that leaves during its own tick empties the
+        // group mid-pass: no group event may be left behind.
+        ticker.remove(r);
+        SelfRemoving last;
+        last.name = "last";
+        last.journal = &logs[pump];
+        last.ticker = &ticker;
+        ticker.add(last, TickRate{10, 0, 0});
+        advance(eq, ticker, 150, pump);
+        EXPECT_EQ(last.ticks, 1u);
+        EXPECT_EQ(ticker.groupCount(), 0u);
+        EXPECT_TRUE(eq.empty());
+        EXPECT_EQ(ticker.ffFires(), pump ? eq.executedEvents() : 0u);
+    }
+    EXPECT_EQ(logs[1], logs[0]);
 }
 
 TEST(Ticker, ZeroPeriodRejected)

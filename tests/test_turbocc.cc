@@ -25,6 +25,10 @@ TEST(TurboCC, RoundTripErrorFree)
     EXPECT_EQ(res.bitErrors, 0u);
     // Pins every tpUs sample, the decoded bits and the rate exactly.
     EXPECT_EQ(test::transmitDigest(res), 0x7ACA0C4694F48470ULL);
+    // A second transmit runs at the next run seed (run 3, after
+    // calibration and the first transmit).
+    EXPECT_EQ(test::transmitDigest(tc.transmit(bits)),
+              0xDC3E7E76CF0E289EULL);
 }
 
 TEST(TurboCC, ThroughputNearPaperValue)
